@@ -1,13 +1,16 @@
 // E17 — Semi-ring kernel subsystem ("one algebra under all four engines"):
-// the same ⊕/⊗ programs run as algebra kernels (Ext/Join/Union on the shared
-// morsel pool) and as the engines' native loops, byte-identically.
+// SpMV, SpGEMM, BFS and PageRank run on the CSR semi-ring kernels
+// (algebra/csr.h) — their only implementation — and aggregates run as
+// Union⊕ on every engine, byte-identically.
 //
-// Arms:
-//   e17_spmv_native / e17_spmv_algebra: y = A·x by the CSR loop (lowering
-//     off) vs Join⊕ over plus_times (lowering on). Gate: bitwise-equal y —
-//     recorded as e17_spmv_identical (rows=1).
-//   e17_spgemm_native / e17_spgemm_algebra: C = A·B, Gustavson vs
-//     Join⊗+Reduce⊕; bitwise-equal triplets.
+// Arms (timed arms record the median of 11 interleaved reps):
+//   e17_<op>_native / e17_<op>_algebra for op in spmv (65536 rows, 1M
+//     entries), spgemm (1024), bfs (4 sources) and pagerank (65536 nodes x
+//     8 edges): a bench-local reference loop (CSR dot product, Gustavson
+//     with a zero-tested workspace, queue BFS, push-scatter PageRank) vs
+//     the engine call, which runs the kernel (MxV, MxM, VxM over min_plus,
+//     MxV over plus_times). Gates: bitwise-equal outputs — recorded as
+//     e17_<op>_identical (rows=1) — and, in CI, kernel <= 1.5x reference.
 //   e17_agg_<engine>: one SUM/MIN/MAX/COUNT aggregate-as-Union⊕ plan
 //     executed by every provider — reference, relstore, arraydb, linalg,
 //     graphd. Gate: all byte-identical to reference — recorded as
@@ -17,8 +20,12 @@
 //   e17_ops_lowered: a coordinator run; the lower_semiring pass must count
 //     the aggregate (last_optimizer_stats().ops_lowered > 0) and
 //     ExplainAnalyze must carry the "algebra:" summary line.
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/semiring.h"
@@ -29,6 +36,7 @@
 #include "common/timer.h"
 #include "expr/builder.h"
 #include "federation/coordinator.h"
+#include "graph/graph.h"
 #include "linalg/sparse.h"
 #include "provider/provider.h"
 
@@ -62,62 +70,211 @@ std::vector<linalg::Triplet> RandomTriplets(int64_t rows, int64_t cols,
   return out;
 }
 
+// Medians of `reps` interleaved runs of two arms; the order alternates per
+// rep so a drifting host penalizes neither arm.
+std::pair<double, double> InterleavedMedians(const std::function<void()>& ref,
+                                             const std::function<void()>& kernel,
+                                             int reps = 11) {
+  std::vector<double> ref_ms, kernel_ms;
+  auto time = [](const std::function<void()>& fn, std::vector<double>* out) {
+    WallTimer t;
+    fn();
+    out->push_back(t.ElapsedMillis());
+  };
+  for (int r = 0; r < reps; ++r) {
+    if (r % 2 == 0) {
+      time(ref, &ref_ms);
+      time(kernel, &kernel_ms);
+    } else {
+      time(kernel, &kernel_ms);
+      time(ref, &ref_ms);
+    }
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(ref_ms), median(kernel_ms)};
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Records one timed op: reference vs kernel medians plus the identity flag
+// (the caller has already NEXUS_CHECKed bitwise equality).
+void RecordTimed(benchjson::Recorder* json, const std::string& op, long long size,
+                 const std::pair<double, double>& ms, const char* ref_name,
+                 const char* kernel_name) {
+  json->Record("e17_" + op + "_native", size, ms.first);
+  json->Record("e17_" + op + "_algebra", size, ms.second);
+  json->Record("e17_" + op + "_identical", 1, 0.0);
+  std::printf("%s (size %lld)\n", op.c_str(), size);
+  std::printf("  reference %-22s %9.2f ms\n", ref_name, ms.first);
+  std::printf("  kernel    %-22s %9.2f ms   %.2fx, bitwise identical\n",
+              kernel_name, ms.second, ms.second / std::max(ms.first, 1e-9));
+}
+
+// --- Reference loops: the implementations the kernels replaced. ----------
+
+std::vector<double> RefSpMV(const linalg::SparseMatrixCSR& m,
+                            const std::vector<double>& x) {
+  std::vector<double> y(static_cast<size_t>(m.rows()), 0.0);
+  const auto& rp = m.row_ptr();
+  const auto& ci = m.col_idx();
+  const auto& v = m.values();
+  for (int64_t r = 0; r < m.rows(); ++r) {
+    double s = 0.0;
+    for (int64_t i = rp[r]; i < rp[r + 1]; ++i) s += v[i] * x[ci[i]];
+    y[r] = s;
+  }
+  return y;
+}
+
+std::vector<linalg::Triplet> RefSpGEMM(const linalg::SparseMatrixCSR& a,
+                                       const linalg::SparseMatrixCSR& b) {
+  std::vector<double> workspace(static_cast<size_t>(b.cols()), 0.0);
+  std::vector<int64_t> touched;
+  std::vector<linalg::Triplet> out;
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    touched.clear();
+    for (int64_t i = a.row_ptr()[r]; i < a.row_ptr()[r + 1]; ++i) {
+      int64_t k = a.col_idx()[i];
+      double av = a.values()[i];
+      for (int64_t j = b.row_ptr()[k]; j < b.row_ptr()[k + 1]; ++j) {
+        int64_t c = b.col_idx()[j];
+        if (workspace[c] == 0.0) touched.push_back(c);
+        workspace[c] += av * b.values()[j];
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (int64_t c : touched) {
+      double v = workspace[c];
+      workspace[c] = 0.0;
+      if (v != 0.0) out.push_back(linalg::Triplet{r, c, v});
+    }
+  }
+  return out;
+}
+
+std::vector<int64_t> RefBfs(const graph::CsrGraph& g, int64_t source) {
+  std::vector<int64_t> level(static_cast<size_t>(g.num_nodes()), -1);
+  std::vector<int64_t> queue = {source};
+  level[source] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    int64_t u = queue[head];
+    for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u); ++v) {
+      if (level[*v] < 0) {
+        level[*v] = level[u] + 1;
+        queue.push_back(*v);
+      }
+    }
+  }
+  return level;
+}
+
+graph::PageRankResult RefPageRank(const graph::CsrGraph& g,
+                                  const graph::PageRankOptions& opts) {
+  graph::PageRankResult out;
+  int64_t n = g.num_nodes();
+  out.rank.assign(n, 1.0 / static_cast<double>(n));
+  std::vector<double> next(n);
+  for (int64_t iter = 0; iter < opts.max_iters; ++iter) {
+    double dangling = 0.0;
+    for (int64_t u = 0; u < n; ++u) {
+      if (g.out_degree(u) == 0) dangling += out.rank[u];
+    }
+    double base = (1.0 - opts.damping) / static_cast<double>(n) +
+                  opts.damping * dangling / static_cast<double>(n);
+    std::fill(next.begin(), next.end(), base);
+    for (int64_t u = 0; u < n; ++u) {
+      int64_t deg = g.out_degree(u);
+      if (deg == 0) continue;
+      double share = opts.damping * out.rank[u] / static_cast<double>(deg);
+      for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u); ++v) {
+        next[*v] += share;
+      }
+    }
+    double delta = 0.0;
+    for (int64_t u = 0; u < n; ++u) delta += std::fabs(next[u] - out.rank[u]);
+    out.rank.swap(next);
+    out.final_delta = delta;
+    ++out.iterations;
+    if (delta < opts.epsilon) break;
+  }
+  return out;
+}
+
 void RunSparseArms(benchjson::Recorder* json) {
-  const int64_t n = 2000;
+  // SpMV: 65536 x 65536, 16 entries per row.
+  const int64_t n = 1 << 16;
   linalg::SparseMatrixCSR a =
-      linalg::SparseMatrixCSR::FromTriplets(n, n, RandomTriplets(n, n, 40000, 7))
+      linalg::SparseMatrixCSR::FromTriplets(n, n, RandomTriplets(n, n, 16 * n, 7))
           .ValueOrDie();
   Rng rng(11);
   std::vector<double> x(static_cast<size_t>(n));
   for (double& v : x) v = rng.NextDouble(-1, 1);
+  std::vector<double> y_ref = RefSpMV(a, x);
+  std::vector<double> y_kernel = a.SpMV(x).ValueOrDie();
+  NEXUS_CHECK(y_ref.size() == y_kernel.size());
+  for (size_t i = 0; i < y_ref.size(); ++i) NEXUS_CHECK(SameBits(y_ref[i], y_kernel[i]));
+  RecordTimed(json, "spmv", n,
+              InterleavedMedians([&] { RefSpMV(a, x); }, [&] { a.SpMV(x).ValueOrDie(); }),
+              "CSR dot product", "MxV plus_times");
 
-  algebra::SetSemiringLoweringOverride(false);
-  std::vector<double> y_native = a.SpMV(x).ValueOrDie();
-  double ms_native = MinMillis([&] { a.SpMV(x).ValueOrDie(); });
-  algebra::SetSemiringLoweringOverride(true);
-  std::vector<double> y_algebra = a.SpMV(x).ValueOrDie();
-  double ms_algebra = MinMillis([&] { a.SpMV(x).ValueOrDie(); });
-
-  NEXUS_CHECK(y_native.size() == y_algebra.size());
-  for (size_t i = 0; i < y_native.size(); ++i) {
-    NEXUS_CHECK(y_native[i] == y_algebra[i]);  // bitwise, not approximate
-  }
-  json->Record("e17_spmv_native", n, ms_native);
-  json->Record("e17_spmv_algebra", n, ms_algebra);
-  json->Record("e17_spmv_identical", 1, 0.0);
-  std::printf("SpMV %lldx%lld (nnz=%lld)\n", static_cast<long long>(n),
-              static_cast<long long>(n), static_cast<long long>(a.nnz()));
-  std::printf("  native CSR loop   %9.2f ms\n", ms_native);
-  std::printf("  algebra Join+     %9.2f ms   (bitwise identical)\n",
-              ms_algebra);
-
-  const int64_t m = 300;
+  // SpGEMM: 1024 x 1024 times 1024 x 1024, 20 entries per row each.
+  const int64_t m = 1024;
   linalg::SparseMatrixCSR ga =
-      linalg::SparseMatrixCSR::FromTriplets(m, m, RandomTriplets(m, m, 6000, 5))
+      linalg::SparseMatrixCSR::FromTriplets(m, m, RandomTriplets(m, m, 20 * m, 5))
           .ValueOrDie();
   linalg::SparseMatrixCSR gb =
-      linalg::SparseMatrixCSR::FromTriplets(m, m, RandomTriplets(m, m, 6000, 9))
+      linalg::SparseMatrixCSR::FromTriplets(m, m, RandomTriplets(m, m, 20 * m, 9))
           .ValueOrDie();
-  algebra::SetSemiringLoweringOverride(false);
-  linalg::SparseMatrixCSR c_native = ga.SpGEMM(gb).ValueOrDie();
-  double ms_gn = MinMillis([&] { ga.SpGEMM(gb).ValueOrDie(); });
-  algebra::SetSemiringLoweringOverride(true);
-  linalg::SparseMatrixCSR c_algebra = ga.SpGEMM(gb).ValueOrDie();
-  double ms_ga = MinMillis([&] { ga.SpGEMM(gb).ValueOrDie(); });
-  std::vector<linalg::Triplet> tn = c_native.ToTriplets();
-  std::vector<linalg::Triplet> ta = c_algebra.ToTriplets();
-  NEXUS_CHECK(tn.size() == ta.size());
-  for (size_t i = 0; i < tn.size(); ++i) {
-    NEXUS_CHECK(tn[i].row == ta[i].row && tn[i].col == ta[i].col &&
-                tn[i].value == ta[i].value);
+  std::vector<linalg::Triplet> tr = RefSpGEMM(ga, gb);
+  std::vector<linalg::Triplet> tk = ga.SpGEMM(gb).ValueOrDie().ToTriplets();
+  NEXUS_CHECK(tr.size() == tk.size());
+  for (size_t i = 0; i < tr.size(); ++i) {
+    NEXUS_CHECK(tr[i].row == tk[i].row && tr[i].col == tk[i].col &&
+                SameBits(tr[i].value, tk[i].value));
   }
-  json->Record("e17_spgemm_native", m, ms_gn);
-  json->Record("e17_spgemm_algebra", m, ms_ga);
-  std::printf("SpGEMM %lldx%lld (nnz=%lld)\n", static_cast<long long>(m),
-              static_cast<long long>(m), static_cast<long long>(ga.nnz()));
-  std::printf("  native Gustavson  %9.2f ms\n", ms_gn);
-  std::printf("  algebra Join+Red  %9.2f ms   (bitwise identical)\n", ms_ga);
-  algebra::ClearSemiringLoweringOverride();
+  RecordTimed(json, "spgemm", m,
+              InterleavedMedians([&] { RefSpGEMM(ga, gb); },
+                                 [&] { ga.SpGEMM(gb).ValueOrDie(); }),
+              "Gustavson", "MxM plus_times");
+
+  // BFS and PageRank: 65536 nodes, 8 random out-edges each (the E8 graph).
+  const int64_t nodes = 1 << 16;
+  Rng grng(11);
+  std::vector<int64_t> src, dst;
+  for (int64_t e = 0; e < nodes * 8; ++e) {
+    src.push_back(grng.NextInt(0, nodes - 1));
+    dst.push_back(grng.NextInt(0, nodes - 1));
+  }
+  graph::CsrGraph g = graph::CsrGraph::FromEdges(src, dst);
+  // Four sources per rep, so one rep lasts long enough to time steadily.
+  const std::vector<int64_t> sources = {0, nodes / 4, nodes / 2, 3 * nodes / 4};
+  for (int64_t s : sources) NEXUS_CHECK(RefBfs(g, s) == graph::Bfs(g, s));
+  RecordTimed(json, "bfs", nodes,
+              InterleavedMedians(
+                  [&] {
+                    for (int64_t s : sources) RefBfs(g, s);
+                  },
+                  [&] {
+                    for (int64_t s : sources) graph::Bfs(g, s);
+                  }),
+              "queue BFS x4 sources", "VxM min_plus");
+
+  graph::PageRankOptions opts;
+  graph::PageRankResult pr_ref = RefPageRank(g, opts);
+  graph::PageRankResult pr_kernel = graph::PageRank(g, opts);
+  NEXUS_CHECK(pr_ref.iterations == pr_kernel.iterations);
+  for (size_t i = 0; i < pr_ref.rank.size(); ++i) {
+    NEXUS_CHECK(SameBits(pr_ref.rank[i], pr_kernel.rank[i]));
+  }
+  RecordTimed(json, "pagerank", nodes,
+              InterleavedMedians([&] { RefPageRank(g, opts); },
+                                 [&] { graph::PageRank(g, opts); }),
+              "push scatter", "MxV plus_times");
 }
 
 TablePtr Fact17() {

@@ -104,46 +104,6 @@ Result<AssocArray> AssocArray::FromTriplets(
   return a;
 }
 
-Result<AssocArray> AssocArray::FromDenseVector(const std::vector<double>& x,
-                                               const std::string& key,
-                                               const std::string& value_name) {
-  std::vector<int64_t> keys(x.size());
-  for (size_t i = 0; i < x.size(); ++i) keys[i] = static_cast<int64_t>(i);
-  NEXUS_ASSIGN_OR_RETURN(
-      SchemaPtr schema, Schema::Make({Field::Attr(key, DataType::kInt64),
-                                      Field::Attr(value_name, DataType::kFloat64)}));
-  NEXUS_ASSIGN_OR_RETURN(
-      TablePtr t, Table::Make(schema, {Column::FromInt64(std::move(keys)),
-                                       Column::FromFloat64(x)}));
-  AssocArray a;
-  a.table_ = std::move(t);
-  a.num_keys_ = 1;
-  return a;
-}
-
-Result<std::vector<linalg::Triplet>> AssocArray::ToTriplets() const {
-  if (num_keys_ != 2) {
-    return Status::InvalidArgument("ToTriplets requires exactly 2 keys");
-  }
-  if (key_column(0).type() != DataType::kInt64 ||
-      key_column(1).type() != DataType::kInt64) {
-    return Status::TypeError("ToTriplets requires int64 keys");
-  }
-  const auto& r = key_column(0).ints();
-  const auto& c = key_column(1).ints();
-  const Column& v = value_column();
-  std::vector<linalg::Triplet> out;
-  out.reserve(static_cast<size_t>(num_entries()));
-  for (int64_t i = 0; i < num_entries(); ++i) {
-    double val = v.type() == DataType::kInt64
-                     ? static_cast<double>(v.ints()[static_cast<size_t>(i)])
-                     : v.doubles()[static_cast<size_t>(i)];
-    out.push_back(linalg::Triplet{r[static_cast<size_t>(i)],
-                                  c[static_cast<size_t>(i)], val});
-  }
-  return out;
-}
-
 int AssocArray::FindKey(const std::string& name) const {
   for (int i = 0; i < num_keys_; ++i) {
     if (key_name(i) == name) return i;

@@ -48,14 +48,6 @@ class AssocArray {
       const std::vector<linalg::Triplet>& triplets, const std::string& row_key,
       const std::string& col_key, const std::string& value_name);
 
-  /// Dense-vector bridge: entry k → x[k] for every k in [0, x.size()).
-  static Result<AssocArray> FromDenseVector(const std::vector<double>& x,
-                                            const std::string& key,
-                                            const std::string& value_name);
-
-  /// Back to coordinates. Requires exactly two int64 keys.
-  Result<std::vector<linalg::Triplet>> ToTriplets() const;
-
   const TablePtr& table() const { return table_; }
   int num_keys() const { return num_keys_; }
   int64_t num_entries() const { return table_ == nullptr ? 0 : table_->num_rows(); }

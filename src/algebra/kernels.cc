@@ -875,63 +875,5 @@ Result<TablePtr> LowerAggregate(const TablePtr& input,
   return Table::Make(schema, std::move(out_cols));
 }
 
-// ---------------------------------------------------------------------------
-// Lowering: sparse linear algebra
-// ---------------------------------------------------------------------------
-
-Result<std::vector<linalg::Triplet>> SpGEMMViaJoin(
-    const std::vector<linalg::Triplet>& a,
-    const std::vector<linalg::Triplet>& b) {
-  telemetry::SpanGuard span(telemetry::kCategoryEngine, "alg.SpGEMM");
-  Count("algebra.spgemm_lowered");
-  Count("algebra.ops_lowered");
-  const Semiring* pt = FindSemiring("plus_times");
-  NEXUS_ASSIGN_OR_RETURN(AssocArray aa,
-                         AssocArray::FromTriplets(a, "i", "k", "v"));
-  NEXUS_ASSIGN_OR_RETURN(AssocArray bb,
-                         AssocArray::FromTriplets(b, "k", "j", "v"));
-  // Join⊗ pairs a(i,k) with b(k,j) — probe order row-major in a, matches in
-  // b's row order — then Reduce⊕ folds each (i,j) in k-ascending order:
-  // term-for-term Gustavson's running workspace sum.
-  NEXUS_ASSIGN_OR_RETURN(AssocArray joined, Join(aa, bb, *pt));
-  NEXUS_ASSIGN_OR_RETURN(AssocArray reduced,
-                         Reduce(joined, {"i", "j"}, *pt));
-  NEXUS_ASSIGN_OR_RETURN(std::vector<linalg::Triplet> out, reduced.ToTriplets());
-  // SpGEMM drops exact-zero outputs (annihilated sums are "not stored").
-  std::vector<linalg::Triplet> nz;
-  nz.reserve(out.size());
-  for (const linalg::Triplet& t : out) {
-    if (t.value != 0.0) nz.push_back(t);
-  }
-  return nz;
-}
-
-Result<std::vector<double>> SpMVViaJoin(const std::vector<linalg::Triplet>& a,
-                                        int64_t rows,
-                                        const std::vector<double>& x) {
-  telemetry::SpanGuard span(telemetry::kCategoryEngine, "alg.SpMV");
-  Count("algebra.spmv_lowered");
-  Count("algebra.ops_lowered");
-  const Semiring* pt = FindSemiring("plus_times");
-  NEXUS_ASSIGN_OR_RETURN(AssocArray aa,
-                         AssocArray::FromTriplets(a, "i", "k", "v"));
-  // x is dense: every index is an entry, explicit zeros included, so each
-  // row's fold sees exactly the CSR dot product's terms in the same order.
-  NEXUS_ASSIGN_OR_RETURN(AssocArray xx,
-                         AssocArray::FromDenseVector(x, "k", "x"));
-  NEXUS_ASSIGN_OR_RETURN(AssocArray joined, Join(aa, xx, *pt));
-  std::vector<double> y(static_cast<size_t>(rows), 0.0);
-  if (joined.num_entries() == 0) return y;
-  NEXUS_ASSIGN_OR_RETURN(AssocArray reduced, Reduce(joined, {"i"}, *pt));
-  const auto& keys = reduced.key_column(0).ints();
-  const auto& vals = reduced.value_column().doubles();
-  for (int64_t e = 0; e < reduced.num_entries(); ++e) {
-    int64_t i = keys[static_cast<size_t>(e)];
-    if (i < 0 || i >= rows) return Status::IndexError("SpMV row out of range");
-    y[static_cast<size_t>(i)] = vals[static_cast<size_t>(e)];
-  }
-  return y;
-}
-
 }  // namespace algebra
 }  // namespace nexus

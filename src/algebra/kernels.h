@@ -2,8 +2,8 @@
 // (⊗-merge on shared keys), Union (⊕-merge) — plus the derived forms
 // Normalize (⊕-collapse of duplicate keys) and Reduce (key projection +
 // Normalize). Lara/LaraDB show these three suffice to express relational
-// aggregation, sparse matrix multiply, and graph relaxation steps; the
-// lowering entry points at the bottom are exactly those expressions.
+// aggregation, sparse matrix multiply, and graph relaxation steps; on
+// dense-int keys the latter two are the CSR kernels of algebra/csr.h.
 //
 // Determinism contract (PR 2): every kernel is byte-identical for any
 // thread count. Join hashes with relational::HashRows, builds partitioned
@@ -69,7 +69,8 @@ Result<AssocArray> Reduce(const AssocArray& a,
                           const Semiring& sr);
 
 // ---------------------------------------------------------------------------
-// Lowering entry points: existing engine ops expressed on the kernels.
+// Lowering entry point: relational aggregation expressed on the kernels.
+// (SpMV, SpGEMM, BFS and PageRank run on the CSR kernels in algebra/csr.h.)
 // ---------------------------------------------------------------------------
 
 /// True when every aggregate in `spec` is a ⊕-fold the algebra covers:
@@ -84,23 +85,6 @@ bool AggregateLowerable(const AggregateOp& spec);
 /// MIN/MAX → NULL, a global aggregate over no rows yields one row) and its
 /// partition-by-hash parallel contract.
 Result<TablePtr> LowerAggregate(const TablePtr& input, const AggregateOp& spec);
-
-/// C = A·B over plus_times as Join⊕: Join on A's column key ⊗-multiplies
-/// matching entries (probe order = A row-major, matches in B row order) and
-/// Reduce over (i,j) ⊕-sums them in k-ascending order — term-for-term the
-/// fold of Gustavson's workspace scatter, so results are bit-identical to
-/// SparseMatrixCSR::SpGEMM. Exposed shape-free: triplets in, triplets out
-/// (row-major, explicit zeros dropped as SpGEMM does).
-Result<std::vector<linalg::Triplet>> SpGEMMViaJoin(
-    const std::vector<linalg::Triplet>& a, const std::vector<linalg::Triplet>& b);
-
-/// y = A·x as Join⊕ with a dense x covering *every* index (explicit zero
-/// terms included), so each y[i] folds exactly the terms — in the same
-/// k-ascending order — as the CSR dot-product loop. Rows with no entries
-/// stay at the ring zero (0.0). Bit-identical to SparseMatrixCSR::SpMV.
-Result<std::vector<double>> SpMVViaJoin(const std::vector<linalg::Triplet>& a,
-                                        int64_t rows,
-                                        const std::vector<double>& x);
 
 }  // namespace algebra
 }  // namespace nexus

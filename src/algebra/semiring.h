@@ -63,9 +63,10 @@ Status VerifyContracts(const Semiring& s);
 
 /// True when semi-ring lowering is enabled: the programmatic override if
 /// set, else NEXUS_SEMIRING ("off"/"0" disables; default on). Gates the
-/// engine-side routing (relational aggregates, sparse SpMV/SpGEMM, graph
-/// BFS/PageRank steps) and the optimizer's lower_semiring pass — switchable
-/// like NEXUS_FUSION, and byte-identical either way.
+/// aggregate routing (LowerAggregate, and the non-relational providers'
+/// claim on kAggregate) and the optimizer's lower_semiring pass —
+/// switchable like NEXUS_FUSION, and byte-identical either way. SpMV,
+/// SpGEMM, BFS and PageRank always run on the CSR kernels (algebra/csr.h).
 bool SemiringLoweringEnabled();
 void SetSemiringLoweringOverride(bool on);
 void ClearSemiringLoweringOverride();

@@ -5,134 +5,21 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <set>
 #include <unordered_map>
 
-#include "algebra/kernels.h"
-#include "algebra/semiring.h"
+#include "common/logging.h"
 #include "common/str_util.h"
-#include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
-#include "types/schema.h"
 
 namespace nexus {
 namespace graph {
 
 namespace {
 
-void CountLowered(const char* op) {
-  telemetry::MetricsRegistry::Global().counter(op)->Increment();
-  telemetry::MetricsRegistry::Global().counter("algebra.ops_lowered")->Increment();
-}
-
-// The graph as an associative array: entry (u, v) → 1.0 per directed edge,
-// in CSR adjacency order — Join matches preserve this order, which is what
-// keeps the algebra-routed PageRank fold bit-identical to the native
-// scatter loop (contributions land per target in (u-ascending, adjacency)
-// order, exactly as the scatter visits them).
-Result<algebra::AssocArray> EdgesAssoc(const CsrGraph& g) {
-  std::vector<linalg::Triplet> trips;
-  trips.reserve(static_cast<size_t>(g.num_edges()));
-  for (int64_t u = 0; u < g.num_nodes(); ++u) {
-    for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u); ++v) {
-      trips.push_back(linalg::Triplet{u, *v, 1.0});
-    }
-  }
-  return algebra::AssocArray::FromTriplets(trips, "u", "v", "w");
-}
-
-// One PageRank power-iteration step on the semi-ring kernels: the rank
-// propagation is an SpMV over plus_times — Join(shares, edges)⊗ multiplies
-// each share by the edge's 1 and Union⊕ with the dense base vector folds
-// base-first, then contributions — byte-identical to fill(next, base) plus
-// the += scatter below.
-Result<std::vector<double>> PageRankStepViaAlgebra(
-    const CsrGraph& g, const algebra::AssocArray& edges,
-    const std::vector<double>& rank, double base, double damping, int64_t n) {
-  const algebra::Semiring* pt = algebra::FindSemiring("plus_times");
-  std::vector<int64_t> us;
-  std::vector<double> shares;
-  for (int64_t u = 0; u < n; ++u) {
-    int64_t deg = g.out_degree(u);
-    if (deg == 0) continue;
-    us.push_back(u);
-    shares.push_back(damping * rank[static_cast<size_t>(u)] /
-                     static_cast<double>(deg));
-  }
-  NEXUS_ASSIGN_OR_RETURN(
-      SchemaPtr ss, Schema::Make({Field::Attr("u", DataType::kInt64),
-                                  Field::Attr("r", DataType::kFloat64)}));
-  NEXUS_ASSIGN_OR_RETURN(
-      TablePtr st, Table::Make(ss, {Column::FromInt64(std::move(us)),
-                                    Column::FromFloat64(std::move(shares))}));
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray share_arr,
-                         algebra::AssocArray::Wrap(std::move(st), 1));
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray joined,
-                         algebra::Join(share_arr, edges, *pt));
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray contrib,
-                         algebra::ExtProject(joined, {"v"}));
-  NEXUS_ASSIGN_OR_RETURN(
-      algebra::AssocArray base_arr,
-      algebra::AssocArray::FromDenseVector(
-          std::vector<double>(static_cast<size_t>(n), base), "v", "r"));
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray merged,
-                         algebra::Union(base_arr, contrib, *pt));
-  std::vector<double> next(static_cast<size_t>(n), base);
-  const auto& keys = merged.key_column(0).ints();
-  const auto& vals = merged.value_column().doubles();
-  for (int64_t e = 0; e < merged.num_entries(); ++e) {
-    int64_t v = keys[static_cast<size_t>(e)];
-    if (v < 0 || v >= n) return Status::IndexError("PageRank node out of range");
-    next[static_cast<size_t>(v)] = vals[static_cast<size_t>(e)];
-  }
-  return next;
-}
-
-// BFS as iterated (min,+) relaxation: a frontier of levels Joins the edge
-// array (level ⊗ 1 = level + 1 under min_plus) and Reduce⊕ keeps the min
-// candidate per target; already-settled nodes are dropped. Levels are exact
-// small integers, so the result is identical to the native queue BFS.
-Result<std::vector<int64_t>> BfsViaAlgebra(const CsrGraph& g, int64_t source) {
-  std::vector<int64_t> level(static_cast<size_t>(g.num_nodes()), -1);
-  if (source < 0 || source >= g.num_nodes()) return level;
-  CountLowered("algebra.bfs_lowered");
-  const algebra::Semiring* mp = algebra::FindSemiring("min_plus");
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray edges, EdgesAssoc(g));
-  level[static_cast<size_t>(source)] = 0;
-  std::vector<int64_t> frontier_nodes = {source};
-  std::vector<double> frontier_levels = {0.0};
-  while (!frontier_nodes.empty()) {
-    NEXUS_ASSIGN_OR_RETURN(
-        SchemaPtr fs, Schema::Make({Field::Attr("u", DataType::kInt64),
-                                    Field::Attr("lvl", DataType::kFloat64)}));
-    NEXUS_ASSIGN_OR_RETURN(
-        TablePtr ft,
-        Table::Make(fs, {Column::FromInt64(std::move(frontier_nodes)),
-                         Column::FromFloat64(std::move(frontier_levels))}));
-    NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray frontier,
-                           algebra::AssocArray::Wrap(std::move(ft), 1));
-    NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray joined,
-                           algebra::Join(frontier, edges, *mp));
-    frontier_nodes = {};
-    frontier_levels = {};
-    if (joined.num_entries() == 0) break;
-    NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray cand,
-                           algebra::Reduce(joined, {"v"}, *mp));
-    const auto& vs = cand.key_column(0).ints();
-    const auto& lv = cand.value_column().doubles();
-    for (int64_t e = 0; e < cand.num_entries(); ++e) {
-      int64_t v = vs[static_cast<size_t>(e)];
-      if (v < 0 || v >= g.num_nodes()) {
-        return Status::IndexError("BFS node out of range");
-      }
-      if (level[static_cast<size_t>(v)] >= 0) continue;  // settled
-      level[static_cast<size_t>(v)] =
-          static_cast<int64_t>(lv[static_cast<size_t>(e)]);
-      frontier_nodes.push_back(v);
-      frontier_levels.push_back(lv[static_cast<size_t>(e)]);
-    }
-  }
-  return level;
+const algebra::Semiring& Ring(const char* name) {
+  const algebra::Semiring* ring = algebra::FindSemiring(name);
+  NEXUS_CHECK(ring != nullptr) << name;
+  return *ring;
 }
 
 }  // namespace
@@ -140,26 +27,78 @@ Result<std::vector<int64_t>> BfsViaAlgebra(const CsrGraph& g, int64_t source) {
 CsrGraph CsrGraph::FromEdges(const std::vector<int64_t>& src,
                              const std::vector<int64_t>& dst) {
   CsrGraph g;
-  // Compact ids: sort distinct originals so compact order is deterministic.
-  std::set<int64_t> ids(src.begin(), src.end());
-  ids.insert(dst.begin(), dst.end());
-  g.original_id_.assign(ids.begin(), ids.end());
-  std::unordered_map<int64_t, int64_t> compact;
-  compact.reserve(g.original_id_.size());
-  for (size_t i = 0; i < g.original_id_.size(); ++i) {
-    compact[g.original_id_[i]] = static_cast<int64_t>(i);
+  // Compact ids are the distinct originals in ascending order, so compact
+  // order is deterministic. Ids spanning at most twice as many values as
+  // there are endpoints are ranked through a table over that span, and ids
+  // that already are 0..n-1 (the usual edge list) need no mapping at all.
+  // Wider spans dedupe through a hash map and sort only the distinct ids.
+  const size_t endpoints = src.size() + dst.size();
+  int64_t lo = 0;
+  std::vector<int64_t> table;                       // original - lo -> compact
+  std::unordered_map<int64_t, int64_t> hashed;      // original -> compact
+  auto offset = [&lo](int64_t id) {
+    return static_cast<size_t>(static_cast<uint64_t>(id) - static_cast<uint64_t>(lo));
+  };
+  if (endpoints > 0) {
+    lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+    for (const std::vector<int64_t>* ids : {&src, &dst}) {
+      for (int64_t id : *ids) {
+        lo = std::min(lo, id);
+        hi = std::max(hi, id);
+      }
+    }
+    if (offset(hi) < 2 * endpoints) {
+      table.assign(offset(hi) + 1, -1);
+      for (int64_t id : src) table[offset(id)] = 0;
+      for (int64_t id : dst) table[offset(id)] = 0;
+      for (size_t i = 0; i < table.size(); ++i) {
+        if (table[i] < 0) continue;
+        table[i] = g.num_nodes();
+        g.original_id_.push_back(lo + static_cast<int64_t>(i));
+      }
+    } else {
+      hashed.reserve(endpoints);
+      for (int64_t id : src) hashed.emplace(id, 0);
+      for (int64_t id : dst) hashed.emplace(id, 0);
+      for (const auto& kv : hashed) g.original_id_.push_back(kv.first);
+      std::sort(g.original_id_.begin(), g.original_id_.end());
+      for (int64_t u = 0; u < g.num_nodes(); ++u) hashed[g.original_id(u)] = u;
+    }
+  }
+  const bool identity = lo == 0 && table.size() == g.original_id_.size();
+  const std::vector<int64_t>* csrc = &src;
+  const std::vector<int64_t>* cdst = &dst;
+  std::vector<int64_t> mapped_src, mapped_dst;
+  if (!identity) {
+    auto compact = [&](const std::vector<int64_t>& in) {
+      std::vector<int64_t> out(in.size());
+      for (size_t i = 0; i < in.size(); ++i) {
+        out[i] = table.empty() ? hashed.find(in[i])->second : table[offset(in[i])];
+      }
+      return out;
+    };
+    mapped_src = compact(src);
+    mapped_dst = compact(dst);
+    csrc = &mapped_src;
+    cdst = &mapped_dst;
   }
   int64_t n = g.num_nodes();
   g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  for (int64_t s : src) g.offsets_[static_cast<size_t>(compact[s]) + 1]++;
+  for (int64_t s : *csrc) g.offsets_[static_cast<size_t>(s) + 1]++;
   for (size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
   g.adj_.resize(src.size());
   std::vector<int64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (size_t e = 0; e < src.size(); ++e) {
-    int64_t u = compact[src[e]];
-    g.adj_[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = compact[dst[e]];
+    int64_t u = (*csrc)[e];
+    g.adj_[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = (*cdst)[e];
   }
   return g;
+}
+
+algebra::CsrView CsrGraph::AdjacencyView() const {
+  return algebra::CsrView{num_nodes(), num_nodes(), offsets_.data(), adj_.data(),
+                          /*values=*/nullptr, /*pattern_value=*/1.0};
 }
 
 Result<CsrGraph> CsrGraph::FromTable(const Table& edges, const std::string& src_col,
@@ -183,50 +122,33 @@ PageRankResult PageRank(const CsrGraph& g, const PageRankOptions& opts) {
   PageRankResult out;
   int64_t n = g.num_nodes();
   if (n == 0) return out;
+  algebra::CountLowered("algebra.pagerank_lowered");
+  // Each step is next = base ⊕ Aᵀ ⊗ share, one MxV over plus_times. The
+  // stable transpose lists v's in-edges in (u-ascending, adjacency) order
+  // and every edge is 1.0, so next[v] folds base first and then exactly the
+  // shares a push scatter `next[v] += share[u]` would add, in its order:
+  // bit-identical to the scatter, but parallel by destination.
+  static const algebra::Semiring& plus_times = Ring("plus_times");
+  const algebra::CsrMatrix in_edges = algebra::Transpose(g.AdjacencyView());
   out.rank.assign(static_cast<size_t>(n), 1.0 / static_cast<double>(n));
+  std::vector<double> share(static_cast<size_t>(n), 0.0);
   std::vector<double> next(static_cast<size_t>(n));
-  // Algebra routing: build the edge associative array once; each iteration's
-  // propagation runs as Join⊕/Union⊕ (falls back to the native scatter on
-  // any kernel refusal — results are byte-identical either way).
-  algebra::AssocArray edges_assoc;
-  bool lowered = algebra::SemiringLoweringEnabled();
-  if (lowered) {
-    Result<algebra::AssocArray> ea = EdgesAssoc(g);
-    lowered = ea.ok();
-    if (lowered) {
-      edges_assoc = ea.MoveValue();
-      CountLowered("algebra.pagerank_lowered");
-    }
-  }
   for (int64_t iter = 0; iter < opts.max_iters; ++iter) {
     double dangling = 0.0;
     for (int64_t u = 0; u < n; ++u) {
-      if (g.out_degree(u) == 0) dangling += out.rank[static_cast<size_t>(u)];
+      int64_t deg = g.out_degree(u);
+      if (deg == 0) {
+        dangling += out.rank[static_cast<size_t>(u)];
+      } else {
+        share[static_cast<size_t>(u)] =
+            opts.damping * out.rank[static_cast<size_t>(u)] / static_cast<double>(deg);
+      }
     }
     double base = (1.0 - opts.damping) / static_cast<double>(n) +
                   opts.damping * dangling / static_cast<double>(n);
-    bool stepped = false;
-    if (lowered) {
-      Result<std::vector<double>> via = PageRankStepViaAlgebra(
-          g, edges_assoc, out.rank, base, opts.damping, n);
-      if (via.ok()) {
-        next = via.MoveValue();
-        stepped = true;
-      }
-    }
-    if (!stepped) {
-      std::fill(next.begin(), next.end(), base);
-      for (int64_t u = 0; u < n; ++u) {
-        int64_t deg = g.out_degree(u);
-        if (deg == 0) continue;
-        double share = opts.damping * out.rank[static_cast<size_t>(u)] /
-                       static_cast<double>(deg);
-        for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u);
-             ++v) {
-          next[static_cast<size_t>(*v)] += share;
-        }
-      }
-    }
+    std::fill(next.begin(), next.end(), base);
+    Status st = algebra::MxV(plus_times, in_edges.view(), share, &next);
+    NEXUS_CHECK(st.ok()) << st.ToString();
     double delta = 0.0;
     for (int64_t u = 0; u < n; ++u) {
       delta += std::fabs(next[static_cast<size_t>(u)] - out.rank[static_cast<size_t>(u)]);
@@ -240,23 +162,27 @@ PageRankResult PageRank(const CsrGraph& g, const PageRankOptions& opts) {
 }
 
 std::vector<int64_t> Bfs(const CsrGraph& g, int64_t source) {
-  if (algebra::SemiringLoweringEnabled()) {
-    Result<std::vector<int64_t>> via = BfsViaAlgebra(g, source);
-    if (via.ok()) return via.MoveValue();
-  }
-  std::vector<int64_t> level(static_cast<size_t>(g.num_nodes()), -1);
-  if (source < 0 || source >= g.num_nodes()) return level;
-  std::queue<int64_t> frontier;
+  const int64_t n = g.num_nodes();
+  std::vector<int64_t> level(static_cast<size_t>(n), -1);
+  if (source < 0 || source >= n) return level;
+  algebra::CountLowered("algebra.bfs_lowered");
+  // Level-synchronous (min,+) relaxation: the frontier's levels ⊗ the 1.0
+  // edges give level + 1, ⊕ keeps the minimum per target, and the settled
+  // mask drops nodes that already have a level.
+  static const algebra::Semiring& min_plus = Ring("min_plus");
+  const algebra::CsrView edges = g.AdjacencyView();
+  algebra::PushWorkspace ws(n);
+  algebra::SparseVector frontier{{source}, {0.0}};
   level[static_cast<size_t>(source)] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    int64_t u = frontier.front();
-    frontier.pop();
-    for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u); ++v) {
-      if (level[static_cast<size_t>(*v)] < 0) {
-        level[static_cast<size_t>(*v)] = level[static_cast<size_t>(u)] + 1;
-        frontier.push(*v);
-      }
+  ws.Mask(source);
+  while (!frontier.index.empty()) {
+    Result<algebra::SparseVector> next = algebra::VxM(min_plus, frontier, edges, &ws);
+    NEXUS_CHECK(next.ok()) << next.status().ToString();
+    frontier = next.MoveValue();
+    for (size_t j = 0; j < frontier.index.size(); ++j) {
+      const int64_t v = frontier.index[j];
+      level[static_cast<size_t>(v)] = static_cast<int64_t>(frontier.value[j]);
+      ws.Mask(v);
     }
   }
   return level;

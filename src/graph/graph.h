@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "algebra/csr.h"
 #include "common/result.h"
 #include "types/table.h"
 
@@ -42,6 +43,10 @@ class CsrGraph {
   int64_t out_degree(int64_t u) const {
     return offsets_[static_cast<size_t>(u) + 1] - offsets_[static_cast<size_t>(u)];
   }
+
+  /// The adjacency as a pattern matrix for the CSR kernels: entry (u, v) is
+  /// 1.0 per edge, in adjacency order (multi-edges repeat).
+  algebra::CsrView AdjacencyView() const;
 
   /// Original id of compact node u.
   int64_t original_id(int64_t u) const { return original_id_[static_cast<size_t>(u)]; }

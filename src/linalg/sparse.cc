@@ -1,9 +1,9 @@
 #include "linalg/sparse.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "algebra/kernels.h"
-#include "algebra/semiring.h"
+#include "algebra/csr.h"
 #include "common/str_util.h"
 #include "telemetry/telemetry.h"
 
@@ -27,8 +27,7 @@ Result<SparseMatrixCSR> SparseMatrixCSR::FromTriplets(
   // Explicit zeros are *kept*: a 0-valued triplet (and duplicates summing to
   // exactly 0) stays a stored entry. The semi-ring contract only requires
   // that absent entries behave as the ring zero — stored zeros must flow
-  // through SpMV/SpGEMM like any value (they contribute ±0.0 terms), which
-  // the algebra-routed paths below reproduce term-for-term.
+  // through SpMV/SpGEMM like any value (they contribute ±0.0 terms).
   SparseMatrixCSR m;
   m.rows_ = rows;
   m.cols_ = cols;
@@ -51,29 +50,30 @@ Result<SparseMatrixCSR> SparseMatrixCSR::FromTriplets(
   return m;
 }
 
+namespace {
+
+const algebra::Semiring& PlusTimes() {
+  static const algebra::Semiring& ring = *algebra::FindSemiring("plus_times");
+  return ring;
+}
+
+algebra::CsrView ViewOf(const SparseMatrixCSR& m) {
+  return algebra::CsrView{m.rows(), m.cols(), m.row_ptr().data(),
+                          m.col_idx().data(), m.values().data()};
+}
+
+}  // namespace
+
 Result<std::vector<double>> SparseMatrixCSR::SpMV(
     const std::vector<double>& x) const {
   if (static_cast<int64_t>(x.size()) != cols_) {
     return Status::InvalidArgument("SpMV shape mismatch");
   }
-  if (algebra::SemiringLoweringEnabled()) {
-    // Lowered path: y = A·x as Join⊕ over plus_times. Byte-identical to the
-    // CSR loop below (same terms, same k-ascending fold order, zero-seeded
-    // sums; empty rows stay 0.0); any refusal falls back to the native loop.
-    Result<std::vector<double>> via =
-        algebra::SpMVViaJoin(ToTriplets(), rows_, x);
-    if (via.ok()) return via;
-  }
+  // y = A·x as MxV over plus_times: each row folds 0.0 + a·x terms in
+  // column order, so empty rows stay 0.0 and stored zeros still contribute.
+  algebra::CountLowered("algebra.spmv_lowered");
   std::vector<double> y(static_cast<size_t>(rows_), 0.0);
-  for (int64_t r = 0; r < rows_; ++r) {
-    double s = 0.0;
-    for (int64_t i = row_ptr_[static_cast<size_t>(r)];
-         i < row_ptr_[static_cast<size_t>(r) + 1]; ++i) {
-      s += values_[static_cast<size_t>(i)] *
-           x[static_cast<size_t>(col_idx_[static_cast<size_t>(i)])];
-    }
-    y[static_cast<size_t>(r)] = s;
-  }
+  NEXUS_RETURN_NOT_OK(algebra::MxV(PlusTimes(), ViewOf(*this), x, &y));
   return y;
 }
 
@@ -83,40 +83,18 @@ Result<SparseMatrixCSR> SparseMatrixCSR::SpGEMM(const SparseMatrixCSR& b) const 
   if (cols_ != b.rows_) {
     return Status::InvalidArgument("SpGEMM shape mismatch");
   }
-  if (algebra::SemiringLoweringEnabled()) {
-    // Lowered path: C = A·B as Join⊕ over plus_times. Per output cell the
-    // fold runs in the same k-ascending order as the workspace scatter
-    // below, so results are byte-identical (exact-zero outputs dropped by
-    // both); any refusal falls back to the native Gustavson loop.
-    Result<std::vector<Triplet>> via =
-        algebra::SpGEMMViaJoin(ToTriplets(), b.ToTriplets());
-    if (via.ok()) return FromTriplets(rows_, b.cols_, std::move(*via));
-  }
-  // Gustavson: per output row, scatter-accumulate into a dense workspace.
-  std::vector<double> workspace(static_cast<size_t>(b.cols_), 0.0);
-  std::vector<int64_t> touched;
-  std::vector<Triplet> out;
-  for (int64_t r = 0; r < rows_; ++r) {
-    touched.clear();
-    for (int64_t i = row_ptr_[static_cast<size_t>(r)];
-         i < row_ptr_[static_cast<size_t>(r) + 1]; ++i) {
-      int64_t k = col_idx_[static_cast<size_t>(i)];
-      double av = values_[static_cast<size_t>(i)];
-      for (int64_t j = b.row_ptr_[static_cast<size_t>(k)];
-           j < b.row_ptr_[static_cast<size_t>(k) + 1]; ++j) {
-        int64_t c = b.col_idx_[static_cast<size_t>(j)];
-        if (workspace[static_cast<size_t>(c)] == 0.0) touched.push_back(c);
-        workspace[static_cast<size_t>(c)] += av * b.values_[static_cast<size_t>(j)];
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (int64_t c : touched) {
-      double v = workspace[static_cast<size_t>(c)];
-      workspace[static_cast<size_t>(c)] = 0.0;
-      if (v != 0.0) out.push_back(Triplet{r, c, v});
-    }
-  }
-  return FromTriplets(rows_, b.cols_, std::move(out));
+  // Gustavson over plus_times; MxM's rows are already column-sorted with
+  // exact-zero sums dropped, which is the CSR form FromTriplets would build.
+  algebra::CountLowered("algebra.spgemm_lowered");
+  NEXUS_ASSIGN_OR_RETURN(algebra::CsrMatrix c,
+                         algebra::MxM(PlusTimes(), ViewOf(*this), ViewOf(b)));
+  SparseMatrixCSR m;
+  m.rows_ = c.rows;
+  m.cols_ = c.cols;
+  m.row_ptr_ = std::move(c.row_ptr);
+  m.col_idx_ = std::move(c.col_idx);
+  m.values_ = std::move(c.values);
+  return m;
 }
 
 DenseMatrix SparseMatrixCSR::ToDense() const {

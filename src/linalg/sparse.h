@@ -1,7 +1,6 @@
-// Sparse linear algebra: CSR matrices with SpMV and SpGEMM. Used by the
-// linalg provider when an input array's occupancy is sparse, and by the
-// graph engine's PageRank formulation as a rank-vector times adjacency
-// product.
+// Sparse linear algebra: CSR matrices with SpMV and SpGEMM, which run on
+// the CSR semi-ring kernels (algebra/csr.h) over plus_times. Used by the
+// linalg provider when an input array's occupancy is sparse.
 #ifndef NEXUS_LINALG_SPARSE_H_
 #define NEXUS_LINALG_SPARSE_H_
 
@@ -40,7 +39,7 @@ class SparseMatrixCSR {
   /// y = A * x.
   Result<std::vector<double>> SpMV(const std::vector<double>& x) const;
 
-  /// C = A * B (Gustavson's row-by-row SpGEMM).
+  /// C = A * B (Gustavson's row-by-row SpGEMM); exact-zero sums are dropped.
   Result<SparseMatrixCSR> SpGEMM(const SparseMatrixCSR& b) const;
 
   /// Densifies (for small matrices / testing).

@@ -1,21 +1,28 @@
 // Tests for the semi-ring kernel subsystem: registry contracts, the
-// associative-array bridge, the Ext/Join/Union kernels, and the lowering
-// entry points' byte-identity to the engines they replace.
+// associative-array bridge, the Ext/Join/Union kernels, the aggregate
+// lowering's byte-identity to HashAggregate, and the CSR kernels'
+// bit-identity to the reference loops for SpMV, SpGEMM, BFS and PageRank.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "algebra/assoc_array.h"
+#include "algebra/csr.h"
 #include "algebra/kernels.h"
 #include "algebra/semiring.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "common/str_util.h"
 #include "expr/builder.h"
 #include "graph/graph.h"
 #include "linalg/sparse.h"
 #include "optimizer/lower_semiring.h"
 #include "relational/engine.h"
+#include "telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace nexus {
@@ -123,20 +130,15 @@ TEST(AssocArrayTest, RejectsNullKeysAndNonNumericValues) {
   EXPECT_FALSE(AssocArray::FromTable(bool_val, {"k"}, "v").ok());
 }
 
-TEST(AssocArrayTest, TripletAndDenseVectorBridges) {
+TEST(AssocArrayTest, TripletBridge) {
   std::vector<Triplet> trips = {{1, 0, 2.0}, {0, 2, 3.0}};
   ASSERT_OK_AND_ASSIGN(AssocArray a,
                        AssocArray::FromTriplets(trips, "i", "j", "v"));
-  ASSERT_OK_AND_ASSIGN(std::vector<Triplet> back, a.ToTriplets());
-  ASSERT_EQ(back.size(), 2u);
+  ASSERT_EQ(a.num_keys(), 2);
   // FromTriplets preserves the given order (unlike CSR construction).
-  EXPECT_EQ(back[0].row, 1);
-  EXPECT_EQ(back[1].col, 2);
-  ASSERT_OK_AND_ASSIGN(AssocArray x,
-                       AssocArray::FromDenseVector({0.5, 0.0, -2.0}, "k", "x"));
-  EXPECT_EQ(x.num_entries(), 3);  // explicit zeros are entries
-  EXPECT_EQ(x.key_column(0).ints()[2], 2);
-  EXPECT_EQ(x.value_column().doubles()[2], -2.0);
+  EXPECT_EQ(a.key_column(0).ints(), (std::vector<int64_t>{1, 0}));
+  EXPECT_EQ(a.key_column(1).ints(), (std::vector<int64_t>{0, 2}));
+  EXPECT_EQ(a.value_column().doubles(), (std::vector<double>{2.0, 3.0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -311,7 +313,9 @@ TEST(LowerAggregateTest, AvgIsNotLowerable) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine routing: byte-identity with lowering off vs on.
+// CSR kernels against plain reference loops. SpMV, SpGEMM, BFS and PageRank
+// have no other implementation in the engines, so each is checked bit for
+// bit against the textbook loop it replaced, kept here.
 // ---------------------------------------------------------------------------
 
 std::vector<Triplet> RandomTriplets(int64_t rows, int64_t cols, int n,
@@ -325,77 +329,496 @@ std::vector<Triplet> RandomTriplets(int64_t rows, int64_t cols, int n,
   return out;
 }
 
-TEST(LoweringTest, SpMVOffOnBitIdentical) {
-  ASSERT_OK_AND_ASSIGN(
-      SparseMatrixCSR m,
-      SparseMatrixCSR::FromTriplets(30, 20, RandomTriplets(30, 20, 150, 7)));
-  Rng rng(11);
-  std::vector<double> x(20);
-  for (double& v : x) v = rng.NextDouble(-1, 1);
+/// Small integers (exact sums that cancel to 0), explicit stored zeros, and
+/// a -0.0 — the values where a reordered or re-seeded fold shows.
+std::vector<Triplet> AwkwardTriplets(int64_t rows, int64_t cols, int n,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Triplet> out;
+  for (int i = 0; i < n; ++i) {
+    double v = static_cast<double>(rng.NextInt(-2, 2));
+    if (i % 17 == 0) v = -0.0;
+    out.push_back(Triplet{rng.NextInt(0, rows - 1), rng.NextInt(0, cols - 1), v});
+  }
+  return out;
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+void ExpectBitwise(const std::vector<double>& got, const std::vector<double>& want,
+                   const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(Bits(got[i]), Bits(want[i]))
+        << what << " [" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+void ExpectBitwise(const SparseMatrixCSR& got, const SparseMatrixCSR& want,
+                   const std::string& what) {
+  EXPECT_EQ(got.rows(), want.rows()) << what;
+  EXPECT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(got.row_ptr(), want.row_ptr()) << what;
+  EXPECT_EQ(got.col_idx(), want.col_idx()) << what;
+  ExpectBitwise(got.values(), want.values(), what);
+}
+
+algebra::CsrView ViewOf(const SparseMatrixCSR& m) {
+  return algebra::CsrView{m.rows(), m.cols(), m.row_ptr().data(),
+                          m.col_idx().data(), m.values().data()};
+}
+
+// CSR dot product, as SpMV was written before the kernels.
+std::vector<double> RefSpMV(const SparseMatrixCSR& m, const std::vector<double>& x) {
+  std::vector<double> y(static_cast<size_t>(m.rows()), 0.0);
+  for (int64_t r = 0; r < m.rows(); ++r) {
+    double s = 0.0;
+    for (int64_t i = m.row_ptr()[r]; i < m.row_ptr()[r + 1]; ++i) {
+      s += m.values()[i] * x[m.col_idx()[i]];
+    }
+    y[r] = s;
+  }
+  return y;
+}
+
+// Gustavson with a zero-tested dense workspace, as SpGEMM was written
+// before the kernels.
+SparseMatrixCSR RefSpGEMM(const SparseMatrixCSR& a, const SparseMatrixCSR& b) {
+  std::vector<double> workspace(static_cast<size_t>(b.cols()), 0.0);
+  std::vector<int64_t> touched;
+  std::vector<Triplet> out;
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    touched.clear();
+    for (int64_t i = a.row_ptr()[r]; i < a.row_ptr()[r + 1]; ++i) {
+      int64_t k = a.col_idx()[i];
+      double av = a.values()[i];
+      for (int64_t j = b.row_ptr()[k]; j < b.row_ptr()[k + 1]; ++j) {
+        int64_t c = b.col_idx()[j];
+        if (workspace[c] == 0.0) touched.push_back(c);
+        workspace[c] += av * b.values()[j];
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (int64_t c : touched) {
+      double v = workspace[c];
+      workspace[c] = 0.0;
+      if (v != 0.0) out.push_back(Triplet{r, c, v});
+    }
+  }
+  return SparseMatrixCSR::FromTriplets(a.rows(), b.cols(), out).ValueOrDie();
+}
+
+// Queue BFS.
+std::vector<int64_t> RefBfs(const graph::CsrGraph& g, int64_t source) {
+  std::vector<int64_t> level(static_cast<size_t>(g.num_nodes()), -1);
+  if (source < 0 || source >= g.num_nodes()) return level;
+  std::vector<int64_t> queue = {source};
+  level[source] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    int64_t u = queue[head];
+    for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u); ++v) {
+      if (level[*v] < 0) {
+        level[*v] = level[u] + 1;
+        queue.push_back(*v);
+      }
+    }
+  }
+  return level;
+}
+
+// Push-scatter PageRank with uniform dangling redistribution.
+graph::PageRankResult RefPageRank(const graph::CsrGraph& g,
+                                  const graph::PageRankOptions& opts) {
+  graph::PageRankResult out;
+  int64_t n = g.num_nodes();
+  if (n == 0) return out;
+  out.rank.assign(n, 1.0 / static_cast<double>(n));
+  std::vector<double> next(n);
+  for (int64_t iter = 0; iter < opts.max_iters; ++iter) {
+    double dangling = 0.0;
+    for (int64_t u = 0; u < n; ++u) {
+      if (g.out_degree(u) == 0) dangling += out.rank[u];
+    }
+    double base = (1.0 - opts.damping) / static_cast<double>(n) +
+                  opts.damping * dangling / static_cast<double>(n);
+    std::fill(next.begin(), next.end(), base);
+    for (int64_t u = 0; u < n; ++u) {
+      int64_t deg = g.out_degree(u);
+      if (deg == 0) continue;
+      double share = opts.damping * out.rank[u] / static_cast<double>(deg);
+      for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u); ++v) {
+        next[*v] += share;
+      }
+    }
+    double delta = 0.0;
+    for (int64_t u = 0; u < n; ++u) delta += std::fabs(next[u] - out.rank[u]);
+    out.rank.swap(next);
+    out.final_delta = delta;
+    ++out.iterations;
+    if (delta < opts.epsilon) break;
+  }
+  return out;
+}
+
+// Ring-generic references: the same loops with ⊕/⊗ from the registry and
+// lifted values mapped to `one`.
+double Lifted(const Semiring& sr, double v) { return sr.lift ? sr.one_f : v; }
+
+std::vector<double> RefMxV(const Semiring& sr, const SparseMatrixCSR& m,
+                           const std::vector<double>& x, std::vector<double> y) {
+  for (int64_t r = 0; r < m.rows(); ++r) {
+    for (int64_t i = m.row_ptr()[r]; i < m.row_ptr()[r + 1]; ++i) {
+      double t = algebra::ApplyF(sr.times, Lifted(sr, m.values()[i]),
+                                 Lifted(sr, x[m.col_idx()[i]]));
+      y[r] = algebra::ApplyF(sr.plus, y[r], t);
+    }
+  }
+  return y;
+}
+
+std::vector<Triplet> RefMxM(const Semiring& sr, const SparseMatrixCSR& a,
+                            const SparseMatrixCSR& b) {
+  std::vector<Triplet> out;
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    std::map<int64_t, double> row;  // column -> fold
+    for (int64_t i = a.row_ptr()[r]; i < a.row_ptr()[r + 1]; ++i) {
+      int64_t k = a.col_idx()[i];
+      for (int64_t j = b.row_ptr()[k]; j < b.row_ptr()[k + 1]; ++j) {
+        double t = algebra::ApplyF(sr.times, Lifted(sr, a.values()[i]),
+                                   Lifted(sr, b.values()[j]));
+        auto [it, fresh] = row.emplace(b.col_idx()[j], sr.zero_f);
+        it->second = algebra::ApplyF(sr.plus, it->second, t);
+      }
+    }
+    for (const auto& [c, v] : row) {
+      if (v != sr.zero_f) out.push_back(Triplet{r, c, v});
+    }
+  }
+  return out;
+}
+
+// One y[v] per touched v, in first-touch order.
+algebra::SparseVector RefVxM(const Semiring& sr, const algebra::SparseVector& x,
+                             const SparseMatrixCSR& m,
+                             const std::vector<uint8_t>& mask) {
+  algebra::SparseVector y;
+  std::map<int64_t, size_t> slot;
+  for (size_t e = 0; e < x.index.size(); ++e) {
+    int64_t u = x.index[e];
+    for (int64_t i = m.row_ptr()[u]; i < m.row_ptr()[u + 1]; ++i) {
+      int64_t v = m.col_idx()[i];
+      if (mask[v]) continue;
+      double t = algebra::ApplyF(sr.times, Lifted(sr, x.value[e]),
+                                 Lifted(sr, m.values()[i]));
+      auto [it, fresh] = slot.emplace(v, y.index.size());
+      if (fresh) {
+        y.index.push_back(v);
+        y.value.push_back(sr.zero_f);
+      }
+      y.value[it->second] = algebra::ApplyF(sr.plus, y.value[it->second], t);
+    }
+  }
+  return y;
+}
+
+struct Shape {
+  int64_t rows, cols;
+  int nnz;
+};
+
+// Includes 1xN, Nx1, empty rows (sparser than rows), and a large case whose
+// row range splits into several morsels.
+const std::vector<Shape> kShapes = {
+    {1, 40, 25}, {40, 1, 25}, {30, 20, 12}, {30, 20, 150}, {3000, 2000, 60000}};
+
+TEST(CsrKernelTest, SpMVMatchesCsrDotProduct) {
   LoweringGuard guard;
-  algebra::SetSemiringLoweringOverride(false);
-  ASSERT_OK_AND_ASSIGN(std::vector<double> off, m.SpMV(x));
-  algebra::SetSemiringLoweringOverride(true);
-  for (int threads : {1, 4}) {
-    SetThreadCount(threads);
-    ASSERT_OK_AND_ASSIGN(std::vector<double> on, m.SpMV(x));
-    ASSERT_EQ(on.size(), off.size());
-    for (size_t i = 0; i < on.size(); ++i) {
-      EXPECT_EQ(on[i], off[i]) << "row " << i << " threads=" << threads;
+  for (const Shape& sh : kShapes) {
+    for (bool awkward : {false, true}) {
+      std::vector<Triplet> trips = awkward ? AwkwardTriplets(sh.rows, sh.cols, sh.nnz, 7)
+                                           : RandomTriplets(sh.rows, sh.cols, sh.nnz, 7);
+      trips.push_back(Triplet{0, 0, 0.0});  // explicit stored zero
+      ASSERT_OK_AND_ASSIGN(SparseMatrixCSR m,
+                           SparseMatrixCSR::FromTriplets(sh.rows, sh.cols, trips));
+      Rng rng(11);
+      std::vector<double> x(static_cast<size_t>(sh.cols));
+      for (double& v : x) v = awkward ? static_cast<double>(rng.NextInt(-3, 3)) : rng.NextDouble(-1, 1);
+      std::vector<double> want = RefSpMV(m, x);
+      for (int threads : {1, 4}) {
+        SetThreadCount(threads);
+        ASSERT_OK_AND_ASSIGN(std::vector<double> got, m.SpMV(x));
+        ExpectBitwise(got, want, StrCat(sh.rows, "x", sh.cols, " nnz=", sh.nnz,
+                                        " awkward=", awkward, " t=", threads));
+      }
     }
   }
 }
 
-TEST(LoweringTest, SpGEMMOffOnBitIdentical) {
-  ASSERT_OK_AND_ASSIGN(
-      SparseMatrixCSR a,
-      SparseMatrixCSR::FromTriplets(12, 10, RandomTriplets(12, 10, 60, 5)));
-  ASSERT_OK_AND_ASSIGN(
-      SparseMatrixCSR b,
-      SparseMatrixCSR::FromTriplets(10, 14, RandomTriplets(10, 14, 60, 9)));
+TEST(CsrKernelTest, SpGEMMMatchesGustavson) {
   LoweringGuard guard;
-  algebra::SetSemiringLoweringOverride(false);
-  ASSERT_OK_AND_ASSIGN(SparseMatrixCSR off, a.SpGEMM(b));
-  algebra::SetSemiringLoweringOverride(true);
-  for (int threads : {1, 4}) {
-    SetThreadCount(threads);
-    ASSERT_OK_AND_ASSIGN(SparseMatrixCSR on, a.SpGEMM(b));
-    std::vector<Triplet> to = off.ToTriplets(), tn = on.ToTriplets();
-    ASSERT_EQ(to.size(), tn.size()) << "threads=" << threads;
-    for (size_t i = 0; i < to.size(); ++i) {
-      EXPECT_EQ(to[i].row, tn[i].row);
-      EXPECT_EQ(to[i].col, tn[i].col);
-      EXPECT_EQ(to[i].value, tn[i].value) << "entry " << i;
+  struct Case {
+    Shape a;
+    int64_t b_cols;
+    int b_nnz;
+  };
+  const std::vector<Case> cases = {
+      {{1, 30, 20}, 1, 20},        // 1xN times Nx1
+      {{30, 1, 20}, 25, 20},       // outer product
+      {{12, 10, 60}, 14, 60},
+      {{40, 30, 20}, 40, 25},      // mostly empty rows
+      {{2000, 2000, 20000}, 2000, 20000},
+  };
+  for (const Case& c : cases) {
+    for (bool awkward : {false, true}) {
+      auto gen = awkward ? AwkwardTriplets : RandomTriplets;
+      ASSERT_OK_AND_ASSIGN(
+          SparseMatrixCSR a,
+          SparseMatrixCSR::FromTriplets(c.a.rows, c.a.cols, gen(c.a.rows, c.a.cols, c.a.nnz, 5)));
+      ASSERT_OK_AND_ASSIGN(
+          SparseMatrixCSR b,
+          SparseMatrixCSR::FromTriplets(c.a.cols, c.b_cols, gen(c.a.cols, c.b_cols, c.b_nnz, 9)));
+      SparseMatrixCSR want = RefSpGEMM(a, b);
+      for (int threads : {1, 4}) {
+        SetThreadCount(threads);
+        ASSERT_OK_AND_ASSIGN(SparseMatrixCSR got, a.SpGEMM(b));
+        ExpectBitwise(got, want, StrCat(c.a.rows, "x", c.a.cols, "x", c.b_cols,
+                                        " awkward=", awkward, " t=", threads));
+      }
     }
   }
 }
 
-TEST(LoweringTest, BfsAndPageRankOffOnIdentical) {
-  Rng rng(23);
-  std::vector<int64_t> src, dst;
-  for (int i = 0; i < 300; ++i) {
-    src.push_back(rng.NextInt(0, 49));
-    dst.push_back(rng.NextInt(0, 49));
-  }
-  graph::CsrGraph g = graph::CsrGraph::FromEdges(src, dst);
+TEST(CsrKernelTest, EmptyAndShapeErrors) {
+  ASSERT_OK_AND_ASSIGN(SparseMatrixCSR empty, SparseMatrixCSR::FromTriplets(3, 4, {}));
+  ASSERT_OK_AND_ASSIGN(std::vector<double> y, empty.SpMV(std::vector<double>(4, 1.0)));
+  ExpectBitwise(y, {0.0, 0.0, 0.0}, "empty SpMV");
+  EXPECT_FALSE(empty.SpMV(std::vector<double>(3, 1.0)).ok());
+  EXPECT_FALSE(empty.SpGEMM(empty).ok());
+  const Semiring& pt = Ring("plus_times");
+  std::vector<double> short_y(2);
+  EXPECT_FALSE(algebra::MxV(pt, ViewOf(empty), std::vector<double>(4), &short_y).ok());
+  algebra::PushWorkspace ws(4);
+  EXPECT_FALSE(algebra::VxM(pt, {{3}, {1.0}}, ViewOf(empty), &ws).ok());
+  EXPECT_FALSE(algebra::VxM(pt, {{0, 1}, {1.0}}, ViewOf(empty), &ws).ok());
+  algebra::PushWorkspace small(2);
+  EXPECT_FALSE(algebra::VxM(pt, {{0}, {1.0}}, ViewOf(empty), &small).ok());
+}
+
+// Every registered ring (including the lifted count ring and one ad-hoc
+// pairing that takes the generic ApplyF path) on the same three kernels.
+TEST(CsrKernelTest, EveryRingMatchesReferenceFolds) {
   LoweringGuard guard;
-  algebra::SetSemiringLoweringOverride(false);
-  std::vector<int64_t> bfs_off = graph::Bfs(g, 0);
-  graph::PageRankOptions opts;
-  opts.max_iters = 30;
-  graph::PageRankResult pr_off = graph::PageRank(g, opts);
-  algebra::SetSemiringLoweringOverride(true);
-  for (int threads : {1, 4}) {
-    SetThreadCount(threads);
-    EXPECT_EQ(graph::Bfs(g, 0), bfs_off) << "threads=" << threads;
-    graph::PageRankResult pr_on = graph::PageRank(g, opts);
-    EXPECT_EQ(pr_on.iterations, pr_off.iterations);
-    ASSERT_EQ(pr_on.rank.size(), pr_off.rank.size());
-    for (size_t i = 0; i < pr_on.rank.size(); ++i) {
-      EXPECT_EQ(pr_on.rank[i], pr_off.rank[i])
-          << "node " << i << " threads=" << threads;
+  std::vector<Semiring> rings = algebra::SemiringRegistry();
+  rings.push_back(Semiring{"max_plus", algebra::MonoidOp::kMax, algebra::MonoidOp::kAdd,
+                           -std::numeric_limits<double>::infinity(), 0.0, 0, 0, false});
+  for (const Semiring& sr : rings) {
+    // Non-negative small integers keep every ring on its domain; or_and
+    // sees 0/1 values.
+    Rng rng(31);
+    auto value = [&] {
+      return sr.plus == algebra::MonoidOp::kOr ? static_cast<double>(rng.NextInt(0, 1))
+                                               : static_cast<double>(rng.NextInt(0, 4));
+    };
+    std::vector<Triplet> ta, tb;
+    for (int i = 0; i < 30000; ++i) ta.push_back(Triplet{rng.NextInt(0, 2999), rng.NextInt(0, 299), value()});
+    for (int i = 0; i < 3000; ++i) tb.push_back(Triplet{rng.NextInt(0, 299), rng.NextInt(0, 199), value()});
+    ASSERT_OK_AND_ASSIGN(SparseMatrixCSR a, SparseMatrixCSR::FromTriplets(3000, 300, ta));
+    ASSERT_OK_AND_ASSIGN(SparseMatrixCSR b, SparseMatrixCSR::FromTriplets(300, 200, tb));
+    std::vector<double> x(300);
+    for (double& v : x) v = value();
+    std::vector<double> seeds(3000, sr.zero_f);
+    for (size_t i = 0; i < seeds.size(); i += 7) seeds[i] = value();
+    std::vector<double> want_y = RefMxV(sr, a, x, seeds);
+    std::vector<Triplet> want_c = RefMxM(sr, a, b);
+    algebra::SparseVector frontier{{5, 17, 5, 2999, 0}, {1.0, 2.0, 3.0, 0.0, 4.0}};
+    std::vector<uint8_t> mask(300, 0);
+    for (size_t i = 0; i < mask.size(); i += 3) mask[i] = 1;
+    algebra::SparseVector want_push = RefVxM(sr, frontier, a, mask);
+    // A BFS-shaped push: a pattern matrix (every entry 2.0) and equal x
+    // values, where an idempotent ⊕ may skip repeat touches.
+    std::vector<Triplet> tp = a.ToTriplets();
+    for (Triplet& t : tp) t.value = 2.0;
+    ASSERT_OK_AND_ASSIGN(SparseMatrixCSR a_pat, SparseMatrixCSR::FromTriplets(3000, 300, tp));
+    algebra::CsrView pat_view = ViewOf(a);
+    pat_view.values = nullptr;
+    pat_view.pattern_value = 2.0;
+    algebra::SparseVector flat{{5, 17, 5, 2999, 0}, {3.0, 3.0, 3.0, 3.0, 3.0}};
+    algebra::SparseVector want_flat = RefVxM(sr, flat, a_pat, mask);
+    for (int threads : {1, 4}) {
+      SetThreadCount(threads);
+      const std::string what = StrCat(sr.name, " t=", threads);
+      std::vector<double> y = seeds;
+      ASSERT_OK(algebra::MxV(sr, ViewOf(a), x, &y));
+      ExpectBitwise(y, want_y, what + " MxV");
+      ASSERT_OK_AND_ASSIGN(algebra::CsrMatrix c, algebra::MxM(sr, ViewOf(a), ViewOf(b)));
+      ASSERT_EQ(c.row_ptr.back(), static_cast<int64_t>(want_c.size())) << what;
+      for (size_t e = 0, r = 0; e < want_c.size(); ++e) {
+        while (c.row_ptr[r + 1] <= static_cast<int64_t>(e)) ++r;
+        EXPECT_EQ(static_cast<int64_t>(r), want_c[e].row) << what << " MxM " << e;
+        EXPECT_EQ(c.col_idx[e], want_c[e].col) << what << " MxM " << e;
+        EXPECT_EQ(Bits(c.values[e]), Bits(want_c[e].value)) << what << " MxM " << e;
+      }
+      algebra::PushWorkspace ws(300);
+      for (size_t v = 0; v < mask.size(); ++v) {
+        if (mask[v]) ws.Mask(static_cast<int64_t>(v));
+      }
+      for (int rep = 0; rep < 2; ++rep) {  // the accumulator comes back clear
+        ASSERT_OK_AND_ASSIGN(algebra::SparseVector push,
+                             algebra::VxM(sr, frontier, ViewOf(a), &ws));
+        EXPECT_EQ(push.index, want_push.index) << what << " VxM";
+        ExpectBitwise(push.value, want_push.value, what + " VxM");
+        ASSERT_OK_AND_ASSIGN(algebra::SparseVector flat_push,
+                             algebra::VxM(sr, flat, pat_view, &ws));
+        EXPECT_EQ(flat_push.index, want_flat.index) << what << " uniform VxM";
+        ExpectBitwise(flat_push.value, want_flat.value, what + " uniform VxM");
+      }
     }
   }
+}
+
+TEST(CsrKernelTest, TransposeIsAStableCountingSort) {
+  // Row 0 lists column 1 twice (a multi-edge); row 2 has a self-loop.
+  const std::vector<int64_t> row_ptr = {0, 3, 3, 5};
+  const std::vector<int64_t> col_idx = {1, 1, 2, 2, 0};
+  const std::vector<double> values = {1.0, 2.0, 3.0, 4.0, 5.0};
+  algebra::CsrView a{3, 3, row_ptr.data(), col_idx.data(), values.data()};
+  algebra::CsrMatrix t = algebra::Transpose(a);
+  EXPECT_EQ(t.row_ptr, (std::vector<int64_t>{0, 1, 3, 5}));
+  EXPECT_EQ(t.col_idx, (std::vector<int64_t>{2, 0, 0, 0, 2}));
+  EXPECT_EQ(t.values, (std::vector<double>{5.0, 1.0, 2.0, 3.0, 4.0}));
+  a.values = nullptr;
+  a.pattern_value = 7.0;
+  algebra::CsrMatrix tp = algebra::Transpose(a);
+  EXPECT_TRUE(tp.values.empty());
+  EXPECT_EQ(tp.view().pattern_value, 7.0);
+  EXPECT_EQ(tp.col_idx, t.col_idx);
+}
+
+// Graphs covering self-loops, multi-edges, dangling nodes, isolated
+// components and non-dense original ids; the last is large enough for the
+// PageRank MxV to split into several morsels.
+std::vector<graph::CsrGraph> TestGraphs() {
+  std::vector<graph::CsrGraph> out;
+  out.push_back(graph::CsrGraph::FromEdges({0, 0, 1, 2, 2, 3}, {0, 1, 1, 3, 3, 4}));
+  out.push_back(graph::CsrGraph::FromEdges({-7, 1000000007, 42, 42, 1LL << 40},
+                                           {42, -7, 1LL << 40, 1LL << 40, 9}));
+  for (int64_t nodes : {50, 5000}) {
+    Rng rng(23 + nodes);
+    std::vector<int64_t> src, dst;
+    for (int64_t i = 0; i < nodes * 8; ++i) {
+      int64_t u = rng.NextInt(0, nodes - 1);
+      if (u % 10 == 3) continue;  // every tenth node dangles
+      src.push_back(u * 3);       // non-dense ids: multiples of 3
+      dst.push_back(rng.NextInt(0, nodes - 1) * 3);
+    }
+    out.push_back(graph::CsrGraph::FromEdges(src, dst));
+  }
+  return out;
+}
+
+TEST(CsrKernelTest, BfsMatchesQueueBfs) {
+  LoweringGuard guard;
+  for (const graph::CsrGraph& g : TestGraphs()) {
+    for (int64_t source : {int64_t{0}, int64_t{1}, g.num_nodes() / 2, g.num_nodes() - 1,
+                           g.num_nodes(), int64_t{-1}}) {
+      std::vector<int64_t> want = RefBfs(g, source);
+      for (int threads : {1, 4}) {
+        SetThreadCount(threads);
+        EXPECT_EQ(graph::Bfs(g, source), want)
+            << "nodes=" << g.num_nodes() << " source=" << source << " t=" << threads;
+      }
+    }
+  }
+}
+
+TEST(CsrKernelTest, PageRankMatchesScatter) {
+  LoweringGuard guard;
+  for (const graph::CsrGraph& g : TestGraphs()) {
+    graph::PageRankOptions opts;
+    opts.max_iters = 30;
+    graph::PageRankResult want = RefPageRank(g, opts);
+    for (int threads : {1, 4}) {
+      SetThreadCount(threads);
+      graph::PageRankResult got = graph::PageRank(g, opts);
+      const std::string what = StrCat("nodes=", g.num_nodes(), " t=", threads);
+      EXPECT_EQ(got.iterations, want.iterations) << what;
+      EXPECT_EQ(Bits(got.final_delta), Bits(want.final_delta)) << what;
+      ExpectBitwise(got.rank, want.rank, what);
+    }
+  }
+}
+
+// The CSR bridge: an associative array over dense int keys becomes the
+// matrix FromTriplets builds, and MxM on it is Join⊗ followed by Reduce⊕
+// (and the Gustavson reference loop).
+TEST(CsrKernelTest, AssocBridgeAndJoinReduceEquivalence) {
+  const Semiring& pt = Ring("plus_times");
+  // Unsorted, with a duplicate key (2,1) that folds in entry order.
+  std::vector<Triplet> ta = {{2, 1, 1.5}, {0, 3, -2.0}, {2, 1, 0.25}, {1, 0, 0.0}, {0, 0, 4.0}};
+  ASSERT_OK_AND_ASSIGN(AssocArray aa, AssocArray::FromTriplets(ta, "i", "k", "v"));
+  ASSERT_OK_AND_ASSIGN(algebra::CsrMatrix a, algebra::CsrFromAssoc(aa, pt, 3, 4));
+  ASSERT_OK_AND_ASSIGN(SparseMatrixCSR want, SparseMatrixCSR::FromTriplets(3, 4, ta));
+  EXPECT_EQ(a.row_ptr, want.row_ptr());
+  EXPECT_EQ(a.col_idx, want.col_idx());
+  ExpectBitwise(a.values, want.values(), "bridge");  // stored zero kept
+  ASSERT_OK_AND_ASSIGN(algebra::CsrMatrix counts,
+                       algebra::CsrFromAssoc(aa, Ring("count"), 3, 4));
+  EXPECT_EQ(counts.values, (std::vector<double>{1.0, 1.0, 1.0, 2.0}));
+  EXPECT_FALSE(algebra::CsrFromAssoc(aa, pt, 2, 4).ok());  // row 2 out of range
+  EXPECT_FALSE(algebra::CsrFromAssoc(Entries({{1, 1.0}}), pt, 2, 2).ok());
+
+  // C = A·B three ways: MxM on bridged operands, Join⊗ + Reduce⊕ on the
+  // associative arrays, and the SpGEMM reference loop.
+  std::vector<Triplet> rand_a = RandomTriplets(20, 15, 90, 3);
+  std::vector<Triplet> rand_b = RandomTriplets(15, 25, 90, 4);
+  ASSERT_OK_AND_ASSIGN(SparseMatrixCSR sa, SparseMatrixCSR::FromTriplets(20, 15, rand_a));
+  ASSERT_OK_AND_ASSIGN(SparseMatrixCSR sb, SparseMatrixCSR::FromTriplets(15, 25, rand_b));
+  ASSERT_OK_AND_ASSIGN(AssocArray a2, AssocArray::FromTriplets(sa.ToTriplets(), "i", "k", "v"));
+  ASSERT_OK_AND_ASSIGN(AssocArray b2, AssocArray::FromTriplets(sb.ToTriplets(), "k", "j", "v"));
+  ASSERT_OK_AND_ASSIGN(algebra::CsrMatrix ca, algebra::CsrFromAssoc(a2, pt, 20, 15));
+  ASSERT_OK_AND_ASSIGN(algebra::CsrMatrix cb, algebra::CsrFromAssoc(b2, pt, 15, 25));
+  ASSERT_OK_AND_ASSIGN(algebra::CsrMatrix cc, algebra::MxM(pt, ca.view(), cb.view()));
+  SparseMatrixCSR ref = RefSpGEMM(sa, sb);
+  EXPECT_EQ(cc.row_ptr, ref.row_ptr());
+  EXPECT_EQ(cc.col_idx, ref.col_idx());
+  ExpectBitwise(cc.values, ref.values(), "MxM vs Gustavson");
+  // Join⊗ + Reduce⊕ keeps annihilated (0.0) sums that MxM does not store.
+  ASSERT_OK_AND_ASSIGN(AssocArray joined, algebra::Join(a2, b2, pt));
+  ASSERT_OK_AND_ASSIGN(AssocArray reduced, algebra::Reduce(joined, {"i", "j"}, pt));
+  ASSERT_OK_AND_ASSIGN(algebra::CsrMatrix via_join, algebra::CsrFromAssoc(reduced, pt, 20, 25));
+  std::vector<int64_t> cols;
+  std::vector<double> vals;
+  for (int64_t r = 0; r < 20; ++r) {
+    for (int64_t i = via_join.row_ptr[r]; i < via_join.row_ptr[r + 1]; ++i) {
+      if (via_join.values[i] == 0.0) continue;
+      cols.push_back(via_join.col_idx[i]);
+      vals.push_back(via_join.values[i]);
+    }
+  }
+  EXPECT_EQ(cols, cc.col_idx);
+  ExpectBitwise(vals, cc.values, "MxM vs Join+Reduce");
+}
+
+TEST(CsrKernelTest, LoweredCountersTrackTheFourOps) {
+  auto& reg = telemetry::MetricsRegistry::Global();
+  auto value = [&](const char* name) { return reg.counter(name)->value(); };
+  const int64_t ops0 = value("algebra.ops_lowered");
+  const int64_t spmv0 = value("algebra.spmv_lowered");
+  const int64_t spgemm0 = value("algebra.spgemm_lowered");
+  const int64_t bfs0 = value("algebra.bfs_lowered");
+  const int64_t pr0 = value("algebra.pagerank_lowered");
+  ASSERT_OK_AND_ASSIGN(SparseMatrixCSR m,
+                       SparseMatrixCSR::FromTriplets(2, 2, {{0, 1, 1.0}, {1, 0, 2.0}}));
+  ASSERT_OK(m.SpMV({1.0, 1.0}).status());
+  ASSERT_OK(m.SpGEMM(m).status());
+  graph::CsrGraph g = graph::CsrGraph::FromEdges({0, 1}, {1, 0});
+  graph::Bfs(g, 0);
+  graph::PageRank(g, {});
+  EXPECT_EQ(value("algebra.spmv_lowered") - spmv0, 1);
+  EXPECT_EQ(value("algebra.spgemm_lowered") - spgemm0, 1);
+  EXPECT_EQ(value("algebra.bfs_lowered") - bfs0, 1);
+  EXPECT_EQ(value("algebra.pagerank_lowered") - pr0, 1);
+  EXPECT_EQ(value("algebra.ops_lowered") - ops0, 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "graph/graph.h"
@@ -25,6 +30,49 @@ TEST(CsrTest, CompactsSparseIds) {
   EXPECT_EQ(g.original_id(2), 100);
   EXPECT_EQ(g.out_degree(2), 2);  // node 100
   EXPECT_EQ(g.out_degree(1), 0);  // node 42
+}
+
+// Every compaction path (identity 0..n-1, a dense span with holes or an
+// offset, and a wide span including the int64 extremes) must produce the
+// sorted-distinct-id numbering and the edge-order adjacency of the plain
+// set + map construction.
+TEST(CsrTest, CompactionMatchesSortedDistinctIds) {
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>> cases = {
+      {{0, 1, 2, 2, 3}, {1, 2, 0, 3, 3}},                 // identity
+      {{5, 9, 5, 7}, {7, 5, 12, 9}},                      // offset span, holes
+      {{-3, -1, 0, 2, -3}, {2, -3, -1, 0, 2}},            // negative ids
+      {{lo, hi, 0, 42}, {hi, lo, 42, lo}},                // extremes: hash path
+      {{}, {}},
+  };
+  Rng rng(5);
+  for (int64_t scale : {1, 3, 1000003}) {
+    std::vector<int64_t> src, dst;
+    for (int i = 0; i < 400; ++i) {
+      src.push_back(rng.NextInt(0, 99) * scale);
+      dst.push_back(rng.NextInt(0, 99) * scale);
+    }
+    cases.emplace_back(src, dst);
+  }
+  for (const auto& [src, dst] : cases) {
+    std::set<int64_t> distinct(src.begin(), src.end());
+    distinct.insert(dst.begin(), dst.end());
+    std::vector<int64_t> ids(distinct.begin(), distinct.end());
+    std::map<int64_t, int64_t> compact;
+    for (size_t i = 0; i < ids.size(); ++i) compact[ids[i]] = static_cast<int64_t>(i);
+    std::vector<std::vector<int64_t>> adj(ids.size());
+    for (size_t e = 0; e < src.size(); ++e) adj[compact[src[e]]].push_back(compact[dst[e]]);
+
+    CsrGraph g = CsrGraph::FromEdges(src, dst);
+    ASSERT_EQ(g.num_nodes(), static_cast<int64_t>(ids.size()));
+    ASSERT_EQ(g.num_edges(), static_cast<int64_t>(src.size()));
+    for (int64_t u = 0; u < g.num_nodes(); ++u) {
+      EXPECT_EQ(g.original_id(u), ids[u]);
+      EXPECT_EQ(std::vector<int64_t>(g.neighbors_begin(u), g.neighbors_end(u)), adj[u])
+          << "node " << ids[u];
+    }
+  }
 }
 
 TEST(CsrTest, FromTableValidates) {

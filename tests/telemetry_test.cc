@@ -9,14 +9,18 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "common/str_util.h"
 #include "expr/builder.h"
 #include "federation/coordinator.h"
 #include "telemetry/explain.h"
@@ -338,6 +342,53 @@ TEST(FederatedTraceTest, FaultyMultiServerQueryExportsOneStitchedTrace) {
   EXPECT_NE(json.find("\"linalg\""), std::string::npos);
   ASSERT_OK(telemetry::WriteChromeTrace("telemetry_test_trace.json",
                                         telemetry::Spans(), trace));
+}
+
+// Regression: span timestamps read the coordinator's simulated clock, which
+// takes the transport mutex, while Transport::Send records spans under that
+// same mutex. Reading the clock inside the span-store lock deadlocked two
+// traced clients sharing one cluster. Both must finish; a watchdog turns a
+// hang into a failure instead of a stuck test binary.
+TEST(FederatedTraceTest, ConcurrentTracedExecutesOnOneClusterFinish) {
+  TelemetryGuard guard;
+  Cluster cluster;
+  FillMatMulCluster(&cluster);
+  PlanPtr mm = Plan::MatMul(Plan::Scan("MA"), Plan::Scan("MB"), "c");
+  CoordinatorOptions seq;
+  seq.thread_count = 1;
+  Dataset want = Coordinator(&cluster, seq).Execute(mm).ValueOrDie();
+
+  telemetry::SetEnabled(true);
+  constexpr int kClients = 2;
+  constexpr int kQueriesEach = 25;
+  std::atomic<int> finished{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      CoordinatorOptions o;
+      o.temp_namespace = StrCat("t", i);
+      Coordinator coordinator(&cluster, o);
+      for (int q = 0; q < kQueriesEach; ++q) {
+        auto r = coordinator.Execute(mm);
+        if (!r.ok() || !r.ValueOrDie().LogicallyEquals(want)) wrong.fetch_add(1);
+      }
+      finished.fetch_add(1);
+    });
+  }
+  std::thread watchdog([&] {
+    for (int tick = 0; tick < 1200 && finished.load() < kClients; ++tick) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    if (finished.load() < kClients) {
+      std::fprintf(stderr, "traced concurrent executes deadlocked\n");
+      std::_Exit(1);
+    }
+  });
+  for (std::thread& c : clients) c.join();
+  watchdog.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(telemetry::SpanCount(), 0);
 }
 
 TEST(FederatedTraceTest, ExplainAnalyzeShowsFragmentsRowsAndServers) {
