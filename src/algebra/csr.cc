@@ -4,6 +4,7 @@
 #include <bit>
 #include <numeric>
 
+#include "common/macros.h"
 #include "common/parallel.h"
 #include "common/str_util.h"
 #include "telemetry/metrics.h"
@@ -248,13 +249,21 @@ CsrMatrix Transpose(const CsrView& a) {
   if (a.values != nullptr) t.values.resize(t.col_idx.size());
   // One morsel of destination rows per thread: each scans all of A in
   // storage order (keeping the sort stable) but places only its own
-  // entries, so its writes stay within its own slice of the output.
+  // entries, so its writes stay within its own slice of the output. The
+  // writes land at random; each slot is prefetched a few entries ahead.
+  constexpr int64_t kAhead = 16;
   const int64_t threads = GetThreadCount();
   ParallelFor(a.cols, std::max<int64_t>(1, (a.cols + threads - 1) / threads),
               [&](int64_t v0, int64_t v1) {
     std::vector<int64_t> cursor(t.row_ptr.begin() + v0, t.row_ptr.begin() + v1);
     for (int64_t r = 0; r < a.rows; ++r) {
       for (int64_t i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+        if (i + kAhead < a.nnz()) {
+          const int64_t ahead = a.col_idx[i + kAhead];
+          if (ahead >= v0 && ahead < v1) {
+            NEXUS_PREFETCH_WRITE(t.col_idx.data() + cursor[static_cast<size_t>(ahead - v0)]);
+          }
+        }
         const int64_t v = a.col_idx[i];
         if (v < v0 || v >= v1) continue;
         const int64_t pos = cursor[static_cast<size_t>(v - v0)]++;

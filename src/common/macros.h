@@ -13,9 +13,13 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define NEXUS_PREDICT_FALSE(x) (__builtin_expect(!!(x), 0))
 #define NEXUS_PREDICT_TRUE(x) (__builtin_expect(!!(x), 1))
+/// Hints that `addr` is about to be written (scatter loops whose targets
+/// miss the cache).
+#define NEXUS_PREFETCH_WRITE(addr) __builtin_prefetch((addr), 1)
 #else
 #define NEXUS_PREDICT_FALSE(x) (x)
 #define NEXUS_PREDICT_TRUE(x) (x)
+#define NEXUS_PREFETCH_WRITE(addr) ((void)(addr))
 #endif
 
 #endif  // NEXUS_COMMON_MACROS_H_

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/macros.h"
 #include "common/str_util.h"
 #include "telemetry/telemetry.h"
 
@@ -89,7 +90,11 @@ CsrGraph CsrGraph::FromEdges(const std::vector<int64_t>& src,
   for (size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
   g.adj_.resize(src.size());
   std::vector<int64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  constexpr size_t kAhead = 16;  // the writes land at random: prefetch ahead
   for (size_t e = 0; e < src.size(); ++e) {
+    if (e + kAhead < src.size()) {
+      NEXUS_PREFETCH_WRITE(g.adj_.data() + cursor[static_cast<size_t>((*csrc)[e + kAhead])]);
+    }
     int64_t u = (*csrc)[e];
     g.adj_[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = (*cdst)[e];
   }
