@@ -4,6 +4,7 @@
 #include <bit>
 #include <numeric>
 
+#include "algebra/assoc_array.h"
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/str_util.h"

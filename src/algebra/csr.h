@@ -20,12 +20,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "algebra/assoc_array.h"
 #include "algebra/semiring.h"
 #include "common/result.h"
 
 namespace nexus {
 namespace algebra {
+
+class AssocArray;
 
 /// Non-owning CSR matrix: row r's entries are [row_ptr[r], row_ptr[r+1]) of
 /// col_idx (each in [0, cols)) and values. A pattern matrix has no values

@@ -1,9 +1,8 @@
 #include "linalg/sparse.h"
 
 #include <algorithm>
-#include <utility>
+#include <numeric>
 
-#include "algebra/csr.h"
 #include "common/str_util.h"
 #include "telemetry/telemetry.h"
 
@@ -29,9 +28,9 @@ Result<SparseMatrixCSR> SparseMatrixCSR::FromTriplets(
   // that absent entries behave as the ring zero — stored zeros must flow
   // through SpMV/SpGEMM like any value (they contribute ±0.0 terms).
   SparseMatrixCSR m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_ptr_.assign(static_cast<size_t>(rows) + 1, 0);
+  m.m_.rows = rows;
+  m.m_.cols = cols;
+  m.m_.row_ptr.assign(static_cast<size_t>(rows) + 1, 0);
   for (size_t i = 0; i < triplets.size();) {
     // Sum duplicates.
     size_t j = i + 1;
@@ -41,12 +40,12 @@ Result<SparseMatrixCSR> SparseMatrixCSR::FromTriplets(
       sum += triplets[j].value;
       ++j;
     }
-    m.col_idx_.push_back(triplets[i].col);
-    m.values_.push_back(sum);
-    m.row_ptr_[static_cast<size_t>(triplets[i].row) + 1]++;
+    m.m_.col_idx.push_back(triplets[i].col);
+    m.m_.values.push_back(sum);
+    m.m_.row_ptr[static_cast<size_t>(triplets[i].row) + 1]++;
     i = j;
   }
-  for (size_t r = 1; r < m.row_ptr_.size(); ++r) m.row_ptr_[r] += m.row_ptr_[r - 1];
+  std::partial_sum(m.m_.row_ptr.begin(), m.m_.row_ptr.end(), m.m_.row_ptr.begin());
   return m;
 }
 
@@ -57,52 +56,41 @@ const algebra::Semiring& PlusTimes() {
   return ring;
 }
 
-algebra::CsrView ViewOf(const SparseMatrixCSR& m) {
-  return algebra::CsrView{m.rows(), m.cols(), m.row_ptr().data(),
-                          m.col_idx().data(), m.values().data()};
-}
-
 }  // namespace
 
 Result<std::vector<double>> SparseMatrixCSR::SpMV(
     const std::vector<double>& x) const {
-  if (static_cast<int64_t>(x.size()) != cols_) {
+  if (static_cast<int64_t>(x.size()) != m_.cols) {
     return Status::InvalidArgument("SpMV shape mismatch");
   }
   // y = A·x as MxV over plus_times: each row folds 0.0 + a·x terms in
   // column order, so empty rows stay 0.0 and stored zeros still contribute.
   algebra::CountLowered("algebra.spmv_lowered");
-  std::vector<double> y(static_cast<size_t>(rows_), 0.0);
-  NEXUS_RETURN_NOT_OK(algebra::MxV(PlusTimes(), ViewOf(*this), x, &y));
+  std::vector<double> y(static_cast<size_t>(m_.rows), 0.0);
+  NEXUS_RETURN_NOT_OK(algebra::MxV(PlusTimes(), m_.view(), x, &y));
   return y;
 }
 
 Result<SparseMatrixCSR> SparseMatrixCSR::SpGEMM(const SparseMatrixCSR& b) const {
   telemetry::SpanGuard span(telemetry::kCategoryEngine, "la.SpGEMM");
-  span.AddCounter("nnz_left", static_cast<int64_t>(values_.size()));
-  if (cols_ != b.rows_) {
+  span.AddCounter("nnz_left", nnz());
+  if (m_.cols != b.m_.rows) {
     return Status::InvalidArgument("SpGEMM shape mismatch");
   }
   // Gustavson over plus_times; MxM's rows are already column-sorted with
   // exact-zero sums dropped, which is the CSR form FromTriplets would build.
   algebra::CountLowered("algebra.spgemm_lowered");
-  NEXUS_ASSIGN_OR_RETURN(algebra::CsrMatrix c,
-                         algebra::MxM(PlusTimes(), ViewOf(*this), ViewOf(b)));
-  SparseMatrixCSR m;
-  m.rows_ = c.rows;
-  m.cols_ = c.cols;
-  m.row_ptr_ = std::move(c.row_ptr);
-  m.col_idx_ = std::move(c.col_idx);
-  m.values_ = std::move(c.values);
-  return m;
+  SparseMatrixCSR c;
+  NEXUS_ASSIGN_OR_RETURN(c.m_, algebra::MxM(PlusTimes(), m_.view(), b.m_.view()));
+  return c;
 }
 
 DenseMatrix SparseMatrixCSR::ToDense() const {
-  DenseMatrix m(rows_, cols_);
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t i = row_ptr_[static_cast<size_t>(r)];
-         i < row_ptr_[static_cast<size_t>(r) + 1]; ++i) {
-      m.Set(r, col_idx_[static_cast<size_t>(i)], values_[static_cast<size_t>(i)]);
+  DenseMatrix m(m_.rows, m_.cols);
+  for (int64_t r = 0; r < m_.rows; ++r) {
+    for (int64_t i = m_.row_ptr[static_cast<size_t>(r)];
+         i < m_.row_ptr[static_cast<size_t>(r) + 1]; ++i) {
+      m.Set(r, m_.col_idx[static_cast<size_t>(i)], m_.values[static_cast<size_t>(i)]);
     }
   }
   return m;
@@ -110,12 +98,12 @@ DenseMatrix SparseMatrixCSR::ToDense() const {
 
 std::vector<Triplet> SparseMatrixCSR::ToTriplets() const {
   std::vector<Triplet> out;
-  out.reserve(values_.size());
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t i = row_ptr_[static_cast<size_t>(r)];
-         i < row_ptr_[static_cast<size_t>(r) + 1]; ++i) {
-      out.push_back(Triplet{r, col_idx_[static_cast<size_t>(i)],
-                            values_[static_cast<size_t>(i)]});
+  out.reserve(m_.values.size());
+  for (int64_t r = 0; r < m_.rows; ++r) {
+    for (int64_t i = m_.row_ptr[static_cast<size_t>(r)];
+         i < m_.row_ptr[static_cast<size_t>(r) + 1]; ++i) {
+      out.push_back(Triplet{r, m_.col_idx[static_cast<size_t>(i)],
+                            m_.values[static_cast<size_t>(i)]});
     }
   }
   return out;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "algebra/csr.h"
 #include "common/result.h"
 #include "linalg/dense.h"
 
@@ -27,14 +28,14 @@ class SparseMatrixCSR {
   static Result<SparseMatrixCSR> FromTriplets(int64_t rows, int64_t cols,
                                               std::vector<Triplet> triplets);
 
-  int64_t rows() const { return rows_; }
-  int64_t cols() const { return cols_; }
-  int64_t nnz() const { return static_cast<int64_t>(values_.size()); }
+  int64_t rows() const { return m_.rows; }
+  int64_t cols() const { return m_.cols; }
+  int64_t nnz() const { return static_cast<int64_t>(m_.values.size()); }
 
   /// Row r's entries occupy [row_ptr()[r], row_ptr()[r+1]).
-  const std::vector<int64_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<int64_t>& col_idx() const { return col_idx_; }
-  const std::vector<double>& values() const { return values_; }
+  const std::vector<int64_t>& row_ptr() const { return m_.row_ptr; }
+  const std::vector<int64_t>& col_idx() const { return m_.col_idx; }
+  const std::vector<double>& values() const { return m_.values; }
 
   /// y = A * x.
   Result<std::vector<double>> SpMV(const std::vector<double>& x) const;
@@ -49,11 +50,7 @@ class SparseMatrixCSR {
   std::vector<Triplet> ToTriplets() const;
 
  private:
-  int64_t rows_ = 0;
-  int64_t cols_ = 0;
-  std::vector<int64_t> row_ptr_;
-  std::vector<int64_t> col_idx_;
-  std::vector<double> values_;
+  algebra::CsrMatrix m_;  // stored values, never a pattern
 };
 
 }  // namespace linalg

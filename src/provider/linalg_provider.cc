@@ -136,7 +136,6 @@ Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
       if (col_name == row_name) col_name += "_2";
 
       double occ = std::min(Occupancy(*a), Occupancy(*b));
-      linalg::SparseMatrixCSR product;
       if (occ > 0.5 && rows * k_len < (1 << 22) && k_len * cols < (1 << 22)) {
         // Dense blocked GEMM.
         linalg::DenseMatrix da(rows, k_len), db(k_len, cols);
