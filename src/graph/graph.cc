@@ -84,26 +84,24 @@ CsrGraph CsrGraph::FromEdges(const std::vector<int64_t>& src,
     csrc = &mapped_src;
     cdst = &mapped_dst;
   }
-  int64_t n = g.num_nodes();
-  g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  for (int64_t s : *csrc) g.offsets_[static_cast<size_t>(s) + 1]++;
-  for (size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
-  g.adj_.resize(src.size());
-  std::vector<int64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  const int64_t n = g.num_nodes();
+  std::vector<int64_t>& offsets = g.adj_.row_ptr;
+  std::vector<int64_t>& adj = g.adj_.col_idx;
+  g.adj_.rows = g.adj_.cols = n;
+  offsets.assign(static_cast<size_t>(n) + 1, 0);
+  for (int64_t s : *csrc) offsets[static_cast<size_t>(s) + 1]++;
+  for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+  adj.resize(src.size());
+  std::vector<int64_t> cursor(offsets.begin(), offsets.end() - 1);
   constexpr size_t kAhead = 16;  // the writes land at random: prefetch ahead
   for (size_t e = 0; e < src.size(); ++e) {
     if (e + kAhead < src.size()) {
-      NEXUS_PREFETCH_WRITE(g.adj_.data() + cursor[static_cast<size_t>((*csrc)[e + kAhead])]);
+      NEXUS_PREFETCH_WRITE(adj.data() + cursor[static_cast<size_t>((*csrc)[e + kAhead])]);
     }
     int64_t u = (*csrc)[e];
-    g.adj_[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = (*cdst)[e];
+    adj[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = (*cdst)[e];
   }
   return g;
-}
-
-algebra::CsrView CsrGraph::AdjacencyView() const {
-  return algebra::CsrView{num_nodes(), num_nodes(), offsets_.data(), adj_.data(),
-                          /*values=*/nullptr, /*pattern_value=*/1.0};
 }
 
 Result<CsrGraph> CsrGraph::FromTable(const Table& edges, const std::string& src_col,

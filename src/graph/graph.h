@@ -31,29 +31,28 @@ class CsrGraph {
                                     const std::string& dst_col);
 
   int64_t num_nodes() const { return static_cast<int64_t>(original_id_.size()); }
-  int64_t num_edges() const { return static_cast<int64_t>(adj_.size()); }
+  int64_t num_edges() const { return static_cast<int64_t>(adj_.col_idx.size()); }
 
   /// Out-neighbors of compact node u.
   const int64_t* neighbors_begin(int64_t u) const {
-    return adj_.data() + offsets_[static_cast<size_t>(u)];
+    return adj_.col_idx.data() + adj_.row_ptr[static_cast<size_t>(u)];
   }
   const int64_t* neighbors_end(int64_t u) const {
-    return adj_.data() + offsets_[static_cast<size_t>(u) + 1];
+    return adj_.col_idx.data() + adj_.row_ptr[static_cast<size_t>(u) + 1];
   }
   int64_t out_degree(int64_t u) const {
-    return offsets_[static_cast<size_t>(u) + 1] - offsets_[static_cast<size_t>(u)];
+    return adj_.row_ptr[static_cast<size_t>(u) + 1] - adj_.row_ptr[static_cast<size_t>(u)];
   }
 
   /// The adjacency as a pattern matrix for the CSR kernels: entry (u, v) is
   /// 1.0 per edge, in adjacency order (multi-edges repeat).
-  algebra::CsrView AdjacencyView() const;
+  algebra::CsrView AdjacencyView() const { return adj_.view(); }
 
   /// Original id of compact node u.
   int64_t original_id(int64_t u) const { return original_id_[static_cast<size_t>(u)]; }
 
  private:
-  std::vector<int64_t> offsets_;      // size num_nodes + 1
-  std::vector<int64_t> adj_;          // compact dst ids
+  algebra::CsrMatrix adj_;            // pattern over compact ids
   std::vector<int64_t> original_id_;  // compact id -> original id (sorted)
 };
 
